@@ -3,8 +3,8 @@
 //! design examples (pipeline registers replaced by MEBs, Sec. V-B).
 
 use elastic_sim::{
-    ChannelId, Circuit, CircuitBuilder, EvalMode, FuseFn, KernelBackend, ReadyPolicy, ScheduleMode,
-    Sink, Source, Tagged, Token,
+    ChannelId, Circuit, CircuitBuilder, EvalMode, FuseFn, KernelBackend, ReadyPolicy, Sink, Source,
+    Tagged, Token,
 };
 
 use crate::arbiter::ArbiterKind;
@@ -89,17 +89,10 @@ pub struct PipelineConfig {
     /// Settle-phase scheduling mode of the built circuit (the dirty-set
     /// kernel by default; [`EvalMode::Exhaustive`] for oracle runs).
     pub eval_mode: EvalMode,
-    /// Static component ordering used by the settle loop (levelized rank
-    /// order by default; [`ScheduleMode::Insertion`] /
-    /// [`ScheduleMode::Reversed`] for ablations).
-    pub schedule: ScheduleMode,
-    /// Settle-kernel dispatch backend (interpreted vtable dispatch by
-    /// default; [`KernelBackend::Fused`] requires a [`fuser`](Self::fuser)
-    /// lowering, conventionally `elastic_synth::fuse`).
-    pub backend: KernelBackend,
-    /// Lowering installed when `backend` is [`KernelBackend::Fused`]
-    /// (without one the builder silently falls back to interpreted
-    /// dispatch).
+    /// Lowering installed on the builder, conventionally
+    /// `elastic_synth::fuse`: `Some` builds the fused op-table kernel
+    /// ([`KernelBackend::Fused`]), `None` (the default) the interpreted
+    /// one.
     pub fuser: Option<FuseFn<Tagged>>,
 }
 
@@ -115,8 +108,6 @@ impl PipelineConfig {
             tokens_per_thread: vec![n; threads],
             sink_policies: vec![ReadyPolicy::Always; threads],
             eval_mode: EvalMode::default(),
-            schedule: ScheduleMode::default(),
-            backend: KernelBackend::default(),
             fuser: None,
         }
     }
@@ -135,20 +126,21 @@ impl PipelineConfig {
         self
     }
 
-    /// Selects the settle loop's static component ordering.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: ScheduleMode) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
     /// Selects the settle-kernel dispatch backend together with the
     /// lowering that realizes it (pass `elastic_synth::fuse` for the
-    /// fused op-table kernel).
+    /// fused op-table kernel). The fuser is installed only for
+    /// [`KernelBackend::Fused`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is [`KernelBackend::Fused`] and `fuser` is
+    /// `None`.
     #[must_use]
     pub fn with_backend(mut self, backend: KernelBackend, fuser: Option<FuseFn<Tagged>>) -> Self {
-        self.backend = backend;
-        self.fuser = fuser;
+        self.fuser = match backend {
+            KernelBackend::Interpreted => None,
+            KernelBackend::Fused => Some(fuser.expect("the fused backend needs a lowering")),
+        };
         self
     }
 }
@@ -183,8 +175,6 @@ impl PipelineHarness {
             sink.set_policy(t, p.clone());
         }
         b.add(sink);
-        b.set_schedule(config.schedule);
-        b.set_backend(config.backend);
         if let Some(fuse) = config.fuser {
             b.set_fuser(fuse);
         }

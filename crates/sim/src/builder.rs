@@ -3,11 +3,11 @@
 use std::collections::BTreeMap;
 
 use crate::channel::{ChannelId, ChannelSpec, ChannelState};
-use crate::circuit::{Circuit, ComponentStore};
+use crate::circuit::Circuit;
 use crate::component::Component;
 use crate::error::BuildError;
-use crate::fused::{FuseFn, KernelBackend};
-use crate::rank::{compute_schedule, ScheduleMode};
+use crate::fused::{FuseFn, FusedTable, KernelBackend};
+use crate::rank::compute_schedule;
 use crate::token::Token;
 
 /// Incrementally wires channels and components into a [`Circuit`].
@@ -43,8 +43,6 @@ use crate::token::Token;
 pub struct CircuitBuilder<T: Token> {
     specs: Vec<ChannelSpec>,
     components: Vec<Box<dyn Component<T>>>,
-    schedule: ScheduleMode,
-    backend: KernelBackend,
     fuser: Option<FuseFn<T>>,
 }
 
@@ -60,46 +58,16 @@ impl<T: Token> CircuitBuilder<T> {
         Self {
             specs: Vec::new(),
             components: Vec::new(),
-            schedule: ScheduleMode::default(),
-            backend: KernelBackend::default(),
             fuser: None,
         }
     }
 
-    /// Selects the evaluation-order schedule [`build`](CircuitBuilder::build)
-    /// will produce (default [`ScheduleMode::Ranked`]). Loop rejection and
-    /// wake-map analysis are identical in every mode; only the component
-    /// permutation changes, so the non-ranked modes exist for ablation.
-    pub fn set_schedule(&mut self, mode: ScheduleMode) {
-        self.schedule = mode;
-    }
-
-    /// Chainable form of [`set_schedule`](CircuitBuilder::set_schedule).
-    pub fn with_schedule(mut self, mode: ScheduleMode) -> Self {
-        self.schedule = mode;
-        self
-    }
-
-    /// Selects the settle-kernel backend [`build`](CircuitBuilder::build)
-    /// will produce (default [`KernelBackend::Interpreted`]).
-    ///
-    /// [`KernelBackend::Fused`] takes effect only when a lowering
-    /// function is also installed ([`set_fuser`](CircuitBuilder::set_fuser));
-    /// without one the build silently falls back to the interpreted
-    /// store, since this crate defines only the fused *mechanism* — the
-    /// lowering over the concrete primitive set lives in `elastic-synth`.
-    pub fn set_backend(&mut self, backend: KernelBackend) {
-        self.backend = backend;
-    }
-
-    /// Chainable form of [`set_backend`](CircuitBuilder::set_backend).
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Installs the lowering function used when the backend is
-    /// [`KernelBackend::Fused`] (e.g. `elastic_synth::fuse`).
+    /// Installs a lowering function (e.g. `elastic_synth::fuse`): the
+    /// built circuit then runs the lowered op table
+    /// ([`KernelBackend::Fused`]). Without one it runs the boxed
+    /// components directly ([`KernelBackend::Interpreted`]); this crate
+    /// defines only the fused *mechanism* — the lowering over the
+    /// concrete primitive set lives in `elastic-synth`.
     pub fn set_fuser(&mut self, fuser: FuseFn<T>) {
         self.fuser = Some(fuser);
     }
@@ -149,10 +117,10 @@ impl<T: Token> CircuitBuilder<T> {
     /// Validates the netlist, compiles the rank schedule and produces a
     /// runnable [`Circuit`].
     ///
-    /// Components are permuted into levelized rank order (see
-    /// [`ScheduleMode`]): every component evaluates after everything it
-    /// combinationally depends on, as declared through
-    /// [`Component::comb_paths`], so an acyclic net settles in one sweep.
+    /// Components are permuted into levelized rank order: every component
+    /// evaluates after everything it combinationally depends on, as
+    /// declared through [`Component::comb_paths`], so an acyclic net
+    /// settles in one sweep.
     ///
     /// # Errors
     ///
@@ -230,13 +198,7 @@ impl<T: Token> CircuitBuilder<T> {
             }
         }
 
-        let schedule = compute_schedule(
-            &self.components,
-            &self.specs,
-            &driver,
-            &reader,
-            self.schedule,
-        )?;
+        let schedule = compute_schedule(&self.components, &self.specs, &driver, &reader)?;
 
         // Permute components into schedule order and remap the wake
         // tables: driver/reader values are component indices, so they are
@@ -260,14 +222,14 @@ impl<T: Token> CircuitBuilder<T> {
         // Lowering happens *after* the rank permutation so the op table
         // inherits the schedule order: op index == evaluation index, and
         // the linear sweep over the table is the levelized sweep.
-        let store = match (self.backend, self.fuser) {
-            (KernelBackend::Fused, Some(fuse)) => ComponentStore::Fused(fuse(components)),
-            _ => ComponentStore::Boxed(components),
+        let (table, backend): (Box<dyn FusedTable<T>>, _) = match self.fuser {
+            Some(fuse) => (fuse(components), KernelBackend::Fused),
+            None => (Box::new(components), KernelBackend::Interpreted),
         };
 
         let channels = self.specs.into_iter().map(ChannelState::new).collect();
         Ok(Circuit::from_parts(
-            store, channels, driver, reader, schedule,
+            table, backend, channels, driver, reader, schedule,
         ))
     }
 }

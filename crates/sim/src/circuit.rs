@@ -413,56 +413,16 @@ pub struct CycleReport {
     pub evals: usize,
 }
 
-/// Backing storage for a circuit's components: either the boxed vector
-/// the interpreted kernel walks (vtable dispatch per eval) or a lowered
-/// [`FusedTable`] (one dynamic call per settle round, `match` dispatch
-/// inside). Every cold path — reset, lookup, tracing, next-event scan —
-/// goes through [`get`](ComponentStore::get)/[`get_mut`](ComponentStore::get_mut),
-/// which both variants serve as plain `dyn Component` borrows, so only
-/// the settle/tick hot paths branch on the variant.
-pub(crate) enum ComponentStore<T: Token> {
-    /// Boxed components in rank order (the interpreted backend).
-    Boxed(Vec<Box<dyn Component<T>>>),
-    /// A lowered op table in the same rank order (the fused backend).
-    Fused(Box<dyn FusedTable<T>>),
-}
-
-impl<T: Token> ComponentStore<T> {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            ComponentStore::Boxed(v) => v.len(),
-            ComponentStore::Fused(t) => t.len(),
-        }
-    }
-
-    pub(crate) fn get(&self, i: usize) -> &dyn Component<T> {
-        match self {
-            ComponentStore::Boxed(v) => v[i].as_ref(),
-            ComponentStore::Fused(t) => t.component(i),
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, i: usize) -> &mut dyn Component<T> {
-        match self {
-            ComponentStore::Boxed(v) => v[i].as_mut(),
-            ComponentStore::Fused(t) => t.component_mut(i),
-        }
-    }
-
-    pub(crate) fn backend(&self) -> KernelBackend {
-        match self {
-            ComponentStore::Boxed(_) => KernelBackend::Interpreted,
-            ComponentStore::Fused(_) => KernelBackend::Fused,
-        }
-    }
-}
-
 /// A fully wired synchronous elastic circuit.
 ///
 /// Build one with [`CircuitBuilder`](crate::CircuitBuilder), then drive it
 /// with [`step`](Circuit::step) / [`run`](Circuit::run).
 pub struct Circuit<T: Token> {
-    pub(crate) components: ComponentStore<T>,
+    /// The components in rank order, as the op table that settles, ticks
+    /// and fault-scans them: the boxed vector (interpreted) or a lowered
+    /// table (fused).
+    pub(crate) components: Box<dyn FusedTable<T>>,
+    backend: KernelBackend,
     pub(crate) channels: Vec<ChannelState<T>>,
     /// Per-channel driving component — doubles as the `ready`-change wake
     /// map of the event-driven kernel.
@@ -498,7 +458,8 @@ pub struct Circuit<T: Token> {
 
 impl<T: Token> Circuit<T> {
     pub(crate) fn from_parts(
-        components: ComponentStore<T>,
+        components: Box<dyn FusedTable<T>>,
+        backend: KernelBackend,
         channels: Vec<ChannelState<T>>,
         driver: Vec<usize>,
         reader: Vec<usize>,
@@ -512,6 +473,7 @@ impl<T: Token> Circuit<T> {
         let woke = ThreadMask::new(components.len());
         Self {
             components,
+            backend,
             channels,
             driver,
             reader,
@@ -546,7 +508,7 @@ impl<T: Token> Circuit<T> {
     /// Which kernel backend this circuit was built with: `Interpreted`
     /// (boxed components, vtable dispatch) or `Fused` (lowered op table).
     pub fn backend(&self) -> KernelBackend {
-        self.components.backend()
+        self.backend
     }
 
     /// Selects the settle-phase scheduling mode. Both modes reach the
@@ -586,7 +548,7 @@ impl<T: Token> Circuit<T> {
     /// and must be rebuilt). All shipped primitives support reset.
     pub fn reset(&mut self) -> Result<(), SimError> {
         for i in 0..self.components.len() {
-            let c = self.components.get_mut(i);
+            let c = self.components.component_mut(i);
             if !c.reset() {
                 return Err(SimError::ResetUnsupported {
                     index: i,
@@ -651,12 +613,13 @@ impl<T: Token> Circuit<T> {
 
     /// Evaluation-order index of the component named `name`, if any.
     fn component_index(&self, name: &str) -> Option<usize> {
-        (0..self.components.len()).find(|&i| self.components.get(i).name() == name)
+        (0..self.components.len()).find(|&i| self.components.component(i).name() == name)
     }
 
     /// Immutable access to a component by instance name.
     pub fn component(&self, name: &str) -> Option<&dyn Component<T>> {
-        self.component_index(name).map(|i| self.components.get(i))
+        self.component_index(name)
+            .map(|i| self.components.component(i))
     }
 
     /// Typed immutable access to a component by instance name.
@@ -670,13 +633,16 @@ impl<T: Token> Circuit<T> {
     /// Typed mutable access to a component by instance name.
     pub fn get_mut<C: Component<T> + 'static>(&mut self, name: &str) -> Option<&mut C> {
         let i = self.component_index(name)?;
-        self.components.get_mut(i).as_any_mut().downcast_mut::<C>()
+        self.components
+            .component_mut(i)
+            .as_any_mut()
+            .downcast_mut::<C>()
     }
 
     /// Names of all components, in evaluation order.
     pub fn component_names(&self) -> Vec<String> {
         (0..self.components.len())
-            .map(|i| self.components.get(i).name().to_string())
+            .map(|i| self.components.component(i).name().to_string())
             .collect()
     }
 
@@ -684,7 +650,7 @@ impl<T: Token> Circuit<T> {
     /// [`Component::netlist_kind`]).
     pub fn component_kinds(&self) -> Vec<crate::netlist::NetlistNodeKind> {
         (0..self.components.len())
-            .map(|i| self.components.get(i).netlist_kind())
+            .map(|i| self.components.component(i).netlist_kind())
             .collect()
     }
 
@@ -767,60 +733,9 @@ impl<T: Token> Circuit<T> {
         let settle_start = self.time_settle.then(std::time::Instant::now);
         while rounds < max_rounds {
             let full = exhaustive || rounds == 0;
-            let mut changed = false;
-            match &mut self.components {
-                ComponentStore::Boxed(comps) => {
-                    for (i, comp) in comps.iter_mut().enumerate() {
-                        if !full && !self.woke.get(i) {
-                            continue;
-                        }
-                        self.woke.set(i, false);
-                        let mut ctx = EvalCtx {
-                            channels: &mut self.channels,
-                            woke: &mut self.woke,
-                            changed: &mut changed,
-                            current: i,
-                            driver: &self.driver,
-                            reader: &self.reader,
-                            listen_valid: &self.listen_valid,
-                            listen_ready: &self.listen_ready,
-                            feedback: &self.feedback,
-                            cycle: self.cycle,
-                        };
-                        comp.eval(&mut ctx);
-                        evals += 1;
-                    }
-                }
-                ComponentStore::Fused(table) => {
-                    // One dynamic call for the whole round; the table
-                    // claims wake flags and counts evals exactly like the
-                    // interpreted loop above.
-                    let mut ctx = SweepCtx {
-                        channels: &mut self.channels,
-                        woke: &mut self.woke,
-                        changed: &mut changed,
-                        driver: &self.driver,
-                        reader: &self.reader,
-                        listen_valid: &self.listen_valid,
-                        listen_ready: &self.listen_ready,
-                        feedback: &self.feedback,
-                        cycle: self.cycle,
-                    };
-                    evals += table.sweep(&mut ctx, full, &mut op_evals);
-                }
-            }
+            let (round_evals, changed) = self.sweep(full, &mut op_evals);
+            evals += round_evals;
             rounds += 1;
-            // The cheap round-count test goes first: it is false on every
-            // healthy cycle, so the (comparatively expensive) environment
-            // lookup never runs on the hot path.
-            if rounds + 6 >= max_rounds && std::env::var_os("ELASTIC_SIM_DEBUG_SETTLE").is_some() {
-                let dump: Vec<String> = self
-                    .channels
-                    .iter()
-                    .map(|ch| format!("{}:v{:?}r{:?}", ch.spec.name, ch.valid, ch.ready))
-                    .collect();
-                eprintln!("settle round {rounds}: {}", dump.join(" "));
-            }
             // Convergence: the oracle stops when a sweep changes nothing
             // (the historical criterion); the dirty-set kernel stops as
             // soon as the worklist is empty — every component whose
@@ -841,6 +756,7 @@ impl<T: Token> Circuit<T> {
             return Err(SimError::CombinationalLoop {
                 cycle: self.cycle,
                 iterations: rounds,
+                toggling: self.toggling_channels(),
             });
         }
         let kernel = self.stats.kernel_mut();
@@ -935,7 +851,7 @@ impl<T: Token> Circuit<T> {
             // clones a component name.
             let mut slots = Vec::new();
             for i in 0..self.components.len() {
-                let s = self.components.get(i).slots();
+                let s = self.components.component(i).slots();
                 if !s.is_empty() {
                     slots.push((i, s));
                 }
@@ -991,31 +907,13 @@ impl<T: Token> Circuit<T> {
             channels: &self.channels,
             cycle: self.cycle,
         };
-        match &mut self.components {
-            ComponentStore::Boxed(comps) => {
-                for c in comps.iter_mut() {
-                    c.tick(&tick_ctx);
-                }
-                for c in comps.iter_mut() {
-                    if let Some(error) = c.take_fault() {
-                        return Err(SimError::Component {
-                            cycle: self.cycle,
-                            component: c.name().to_string(),
-                            error,
-                        });
-                    }
-                }
-            }
-            ComponentStore::Fused(table) => {
-                table.tick_all(&tick_ctx);
-                if let Some((i, error)) = table.take_faults() {
-                    return Err(SimError::Component {
-                        cycle: self.cycle,
-                        component: table.component(i).name().to_string(),
-                        error,
-                    });
-                }
-            }
+        self.components.tick_all(&tick_ctx);
+        if let Some((i, error)) = self.components.take_faults() {
+            return Err(SimError::Component {
+                cycle: self.cycle,
+                component: self.components.component(i).name().to_string(),
+                error,
+            });
         }
 
         let report = CycleReport {
@@ -1026,6 +924,44 @@ impl<T: Token> Circuit<T> {
         };
         self.cycle += 1;
         Ok(report)
+    }
+
+    /// One settle round over the op table: a full sweep when `full`,
+    /// otherwise only the woken components. Returns the number of evals
+    /// and whether any signal changed.
+    fn sweep(&mut self, full: bool, op_evals: &mut [u64; FusedOpKind::COUNT]) -> (usize, bool) {
+        let mut changed = false;
+        let mut ctx = SweepCtx {
+            channels: &mut self.channels,
+            woke: &mut self.woke,
+            changed: &mut changed,
+            driver: &self.driver,
+            reader: &self.reader,
+            listen_valid: &self.listen_valid,
+            listen_ready: &self.listen_ready,
+            feedback: &self.feedback,
+            cycle: self.cycle,
+        };
+        let evals = self.components.sweep(&mut ctx, full, op_evals);
+        (evals, changed)
+    }
+
+    /// Error-path diagnosis for a settle that hit the round cap: runs one
+    /// more full sweep and names every channel whose `valid` or `ready`
+    /// it changed.
+    fn toggling_channels(&mut self) -> Vec<String> {
+        let before: Vec<(ThreadMask, ThreadMask)> = self
+            .channels
+            .iter()
+            .map(|ch| (ch.valid.clone(), ch.ready.clone()))
+            .collect();
+        self.sweep(true, &mut [0; FusedOpKind::COUNT]);
+        self.channels
+            .iter()
+            .zip(before)
+            .filter(|(ch, (valid, ready))| ch.valid != *valid || ch.ready != *ready)
+            .map(|(ch, _)| ch.spec.name.clone())
+            .collect()
     }
 
     /// True when the last stepped cycle completed with no transfer and no
@@ -1041,7 +977,7 @@ impl<T: Token> Circuit<T> {
     fn next_component_event(&self) -> Option<Option<u64>> {
         let mut earliest: Option<u64> = None;
         for i in 0..self.components.len() {
-            match self.components.get(i).next_event(self.cycle) {
+            match self.components.component(i).next_event(self.cycle) {
                 NextEvent::EveryCycle => return None,
                 NextEvent::Idle => {}
                 NextEvent::At(at) => {

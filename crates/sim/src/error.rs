@@ -168,6 +168,10 @@ pub enum SimError {
         cycle: u64,
         /// Number of settle iterations attempted.
         iterations: usize,
+        /// Channels whose `valid` or `ready` still changed in one extra
+        /// sweep past the cap, in channel order — the oscillating part
+        /// of the network.
+        toggling: Vec<String>,
     },
     /// More than one `valid(i)` was asserted on a multithreaded channel in
     /// the same cycle, violating the MT-elastic channel invariant (Sec. III
@@ -238,10 +242,20 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::CombinationalLoop { cycle, iterations } => write!(
+            SimError::CombinationalLoop {
+                cycle,
+                iterations,
+                toggling,
+            } => write!(
                 f,
                 "combinational loop: handshake network failed to settle at cycle {cycle} \
-                 after {iterations} iterations (insert an elastic buffer to cut the cycle)"
+                 after {iterations} iterations, still toggling [{}] (insert an elastic \
+                 buffer to cut the cycle)",
+                toggling
+                    .iter()
+                    .map(|c| format!("`{c}`"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
             ),
             SimError::ChannelInvariant {
                 cycle,

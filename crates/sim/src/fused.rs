@@ -1,19 +1,24 @@
-//! Mechanism side of the **fused kernel backend**.
+//! The settle kernel's **op-table contract** and its two backends.
 //!
-//! The interpreted settle loop dispatches every evaluation through a
-//! `Box<dyn Component>` virtual call. After elaboration, though, the
+//! Every circuit runs its settle rounds, clock edges and fault scans
+//! through one [`FusedTable`]. The interpreted backend is the plain
+//! boxed component vector (`impl FusedTable for Vec<Box<dyn Component>>`
+//! below): one vtable call per eval. After elaboration, though, the
 //! component sequence and the levelized rank schedule are fully known —
-//! so the whole sweep can be *compiled* into a flat op table executed as
-//! one linear `match`-dispatch pass per settle round. This module defines
-//! only the machinery the kernel needs to host such a table:
+//! so the whole sweep can also be *compiled* into a flat op table
+//! executed as one linear `match`-dispatch pass per settle round (the
+//! fused backend). This module defines the machinery the kernel needs to
+//! host either table:
 //!
-//! * [`KernelBackend`] — the `Interpreted`/`Fused` axis selected on
-//!   `CircuitBuilder` (and surfaced by higher-level configs);
-//! * [`FusedTable`] — the object-safe contract a lowered op table
-//!   implements: **one** dynamic call per settle round
-//!   ([`sweep`](FusedTable::sweep)), plus static-dispatch clock-edge and
-//!   fault-scan passes, and per-index component accessors so
-//!   introspection (`Circuit::get`, tracing, reset) works unchanged;
+//! * [`KernelBackend`] — the `Interpreted`/`Fused` label a circuit
+//!   reports; a circuit is fused iff a [`FuseFn`] was installed on its
+//!   `CircuitBuilder` (higher-level configs decide whether to install
+//!   one);
+//! * [`FusedTable`] — the object-safe contract both tables implement:
+//!   **one** dynamic call per settle round ([`sweep`](FusedTable::sweep)),
+//!   plus clock-edge and fault-scan passes, and per-index component
+//!   accessors so introspection (`Circuit::get`, tracing, reset) works
+//!   unchanged;
 //! * [`SweepCtx`] — the split-borrow view of the circuit a sweep runs
 //!   against, bridging to [`EvalCtx`] per op;
 //! * [`FusedOpKind`] — the dense op-class label used for per-op eval
@@ -27,20 +32,19 @@
 //! `elastic_synth::lower` / `elastic_synth::compile`; see
 //! `docs/kernel.md` § "Fused settle kernel" for the contract.
 
-use crate::channel::{ChannelId, ChannelState};
+use crate::channel::ChannelState;
 use crate::circuit::{EvalCtx, TickCtx};
 use crate::component::Component;
 use crate::error::ProtocolError;
 use crate::mask::ThreadMask;
 use crate::token::Token;
 
-/// Which settle-kernel implementation executes component evaluations.
+/// Which [`FusedTable`] executes component evaluations.
 ///
 /// Both backends reach the same fixed point with the same wake
 /// semantics; they differ only in dispatch cost. The interpreted kernel
-/// is the default and the reference; the fused kernel requires a
-/// lowering function ([`FuseFn`]) and silently falls back to interpreted
-/// when none is installed.
+/// is the default and the reference; a circuit is fused exactly when a
+/// lowering function ([`FuseFn`]) was installed at build time.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum KernelBackend {
     /// Dispatch every eval through `Box<dyn Component>` (default).
@@ -140,11 +144,10 @@ impl FusedOpKind {
 /// harness in `elastic-core`) can accept one opaquely.
 pub type FuseFn<T> = fn(Vec<Box<dyn Component<T>>>) -> Box<dyn FusedTable<T>>;
 
-/// Split-borrow view of the circuit during one settle round of the fused
-/// kernel. Wraps the same channel/wake/listen state the interpreted loop
-/// uses; [`eval_ctx`](SweepCtx::eval_ctx) is the only way external code
-/// can mint an [`EvalCtx`], which keeps signal-ownership enforcement
-/// inside this crate.
+/// Split-borrow view of the circuit during one settle round. Wraps the
+/// channel/wake/listen state of the kernel; [`drain`](SweepCtx::drain)
+/// is the only way external code can mint an [`EvalCtx`], which keeps
+/// signal-ownership enforcement inside this crate.
 pub struct SweepCtx<'a, T: Token> {
     pub(crate) channels: &'a mut [ChannelState<T>],
     pub(crate) woke: &'a mut ThreadMask,
@@ -158,53 +161,6 @@ pub struct SweepCtx<'a, T: Token> {
 }
 
 impl<'a, T: Token> SweepCtx<'a, T> {
-    /// Whether component `i` is marked dirty this round.
-    #[inline]
-    pub fn is_woke(&self, i: usize) -> bool {
-        self.woke.get(i)
-    }
-
-    /// Claims component `i`'s wake flag (clears it) — must be called
-    /// *before* evaluating the op, exactly like the interpreted loop, so
-    /// wakes issued mid-eval carry over to the next round.
-    #[inline]
-    pub fn claim(&mut self, i: usize) {
-        self.woke.set(i, false);
-    }
-
-    /// The evaluation context for component `i`, with the same ownership
-    /// and wake semantics as the interpreted kernel.
-    #[inline]
-    pub fn eval_ctx(&mut self, i: usize) -> EvalCtx<'_, T> {
-        EvalCtx {
-            channels: &mut *self.channels,
-            woke: &mut *self.woke,
-            changed: &mut *self.changed,
-            current: i,
-            driver: self.driver,
-            reader: self.reader,
-            listen_valid: self.listen_valid,
-            listen_ready: self.listen_ready,
-            feedback: self.feedback,
-            cycle: self.cycle,
-        }
-    }
-
-    /// Thread count of channel `ch` (for sizing scratch masks).
-    pub fn threads(&self, ch: ChannelId) -> usize {
-        self.channels[ch.0].spec.threads
-    }
-
-    /// Whether any channel of the circuit sits on a combinational
-    /// feedback cycle. With feedback present the hysteretic anti-swap
-    /// damping makes the settle trajectory order-sensitive, so lowered
-    /// tables must not re-order evaluation (see [`FusedTable::sweep`]);
-    /// component fast paths use the same signal per channel via
-    /// [`EvalCtx::in_feedback`].
-    pub fn any_feedback(&self) -> bool {
-        self.feedback.iter().any(|&f| f)
-    }
-
     /// Runs one settle round's op scan with a **single reused**
     /// [`EvalCtx`]: the skip-unless-woken test, the claim-before-eval
     /// wake consumption and the current-component bookkeeping happen
@@ -237,8 +193,8 @@ impl<'a, T: Token> SweepCtx<'a, T> {
             if !full && !ectx.woke.get(i) {
                 continue;
             }
-            // Claim before eval, exactly like the interpreted loop, so
-            // wakes issued mid-eval carry over to the next round.
+            // Claim before eval, so wakes issued mid-eval carry over to
+            // the next round.
             ectx.woke.set(i, false);
             ectx.current = i;
             eval(i, &mut ectx);
@@ -248,17 +204,18 @@ impl<'a, T: Token> SweepCtx<'a, T> {
     }
 }
 
-/// The contract a lowered op table implements so the kernel can execute
-/// it. Implemented by `elastic_synth::lower::OpTable`; the kernel holds
-/// it as `Box<dyn FusedTable<T>>` and pays exactly one dynamic call per
-/// settle round plus one per clock edge.
+/// The contract an op table implements so the kernel can execute it.
+/// Implemented by the interpreted boxed component vector (below) and by
+/// `elastic_synth::lower::OpTable`; the kernel holds it as
+/// `Box<dyn FusedTable<T>>` and pays exactly one dynamic call per settle
+/// round plus one per clock edge.
 ///
-/// Implementations must preserve the interpreted loop's semantics
-/// exactly: iterate ops in storage (rank) order — the interpreted
-/// kernel's order, already levelized so consumers precede the producers
-/// that listen to their `ready` commits — skip non-woken ops on partial
-/// rounds, claim the wake flag before evaluating, and count every
-/// evaluation. Re-ordering is not an optimisation surface: the rank
+/// Implementations must preserve the settle semantics exactly: iterate
+/// ops in storage (rank) order — already levelized so consumers precede
+/// the producers that listen to their `ready` commits — skip non-woken
+/// ops on partial rounds, claim the wake flag before evaluating, and
+/// count every evaluation ([`SweepCtx::drain`] does all of this).
+/// Re-ordering is not an optimisation surface: the rank
 /// schedule settles busy acyclic pipelines in a single round, and on
 /// feedback cycles the hysteretic damping makes the trajectory
 /// order-sensitive, so any other order is slower, unfaithful, or both.
@@ -298,4 +255,42 @@ pub trait FusedTable<T: Token>: Send {
     /// Mutably borrows op `i` as a plain component (reset,
     /// `Circuit::get_mut` reconfiguration).
     fn component_mut(&mut self, i: usize) -> &mut dyn Component<T>;
+}
+
+/// The interpreted backend: every eval dispatches through the boxed
+/// component's vtable. Leaves `op_evals` untouched, so interpreted runs
+/// report zero per-op fused counters.
+impl<T: Token> FusedTable<T> for Vec<Box<dyn Component<T>>> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn sweep(
+        &mut self,
+        ctx: &mut SweepCtx<'_, T>,
+        full: bool,
+        _op_evals: &mut [u64; FusedOpKind::COUNT],
+    ) -> usize {
+        ctx.drain(full, |i, ectx| self[i].eval(ectx))
+    }
+
+    fn tick_all(&mut self, ctx: &TickCtx<'_, T>) {
+        for c in self.iter_mut() {
+            c.tick(ctx);
+        }
+    }
+
+    fn take_faults(&mut self) -> Option<(usize, ProtocolError)> {
+        self.iter_mut()
+            .enumerate()
+            .find_map(|(i, c)| c.take_fault().map(|e| (i, e)))
+    }
+
+    fn component(&self, i: usize) -> &dyn Component<T> {
+        self[i].as_ref()
+    }
+
+    fn component_mut(&mut self, i: usize) -> &mut dyn Component<T> {
+        self[i].as_mut()
+    }
 }

@@ -818,6 +818,7 @@ mod tests {
             Err(SimError::CombinationalLoop {
                 cycle: 0,
                 iterations: 1,
+                toggling: Vec::new(),
             })
         })];
         let report = run_sweep_on(jobs, 1);

@@ -327,6 +327,7 @@ mod tests {
                     Err(SimError::CombinationalLoop {
                         cycle: 0,
                         iterations: 1,
+                        toggling: Vec::new(),
                     })
                 })
                 .with_cache_key(0xDEAD),

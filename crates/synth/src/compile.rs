@@ -2,8 +2,8 @@
 //! op table (see [`crate::lower`] for the table itself and
 //! `docs/kernel.md` § "Fused settle kernel" for the full pipeline).
 //!
-//! [`fuse`] is the [`FuseFn`] installed on `CircuitBuilder` when a
-//! circuit opts into [`KernelBackend::Fused`] — either directly, or via
+//! [`fuse`] is the [`FuseFn`] installed on `CircuitBuilder` to make a
+//! circuit [`KernelBackend::Fused`] — either directly, or via
 //! [`ElasticIr::set_backend`](crate::ElasticIr::set_backend) before
 //! elaboration. The builder calls it *after* applying the levelized rank
 //! permutation, so the op table it returns is already in evaluation
@@ -154,8 +154,9 @@ mod tests {
             let mut snk = Sink::with_capture("snk", c, 2, ReadyPolicy::Always);
             snk.set_policy(1, ReadyPolicy::Random { p: 0.6, seed: 5 });
             b.add(snk);
-            b.set_backend(backend);
-            b.set_fuser(fuse::<u64>);
+            if backend == KernelBackend::Fused {
+                b.set_fuser(fuse::<u64>);
+            }
             b.build().expect("valid")
         };
         let mut interp = build(KernelBackend::Interpreted);

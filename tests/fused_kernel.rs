@@ -5,10 +5,9 @@
 //! it must be *behaviourally invisible*. The bars, all byte-for-byte on
 //! the sink captures:
 //!
-//! 1. **Backend transparency** — for every schedule (ranked, insertion,
-//!    reversed), every shuffled builder insertion order, and both settle
-//!    modes (event-driven, exhaustive oracle), the fused backend matches
-//!    the interpreted backend exactly. This holds on feedback topologies
+//! 1. **Backend transparency** — for every shuffled builder insertion
+//!    order and both settle modes (event-driven, exhaustive oracle), the
+//!    fused backend matches the interpreted backend exactly. This holds on feedback topologies
 //!    too: the fused fast paths fall back to the interpreted selection
 //!    logic wherever hysteretic damping makes the trajectory
 //!    order-sensitive.
@@ -19,189 +18,12 @@
 //!    spill past the inline word) agrees across backends and modes, and
 //!    the two backends perform identical evaluation counts.
 
-use mt_elastic::core::{ArbiterKind, Fork, ForkMode, Join, MebKind};
-use mt_elastic::sim::{
-    CircuitBuilder, Component, EvalMode, KernelBackend, LatencyModel, ReadyPolicy, ScheduleMode,
-    Sink, Source, Tagged, VarLatency,
-};
+mod common;
+
+use common::{meb_kind_strategy, run_net, NetParams};
+use mt_elastic::core::MebKind;
+use mt_elastic::sim::{EvalMode, KernelBackend};
 use proptest::prelude::*;
-
-fn meb_kind_strategy() -> impl Strategy<Value = MebKind> {
-    prop_oneof![
-        Just(MebKind::Full),
-        Just(MebKind::Reduced),
-        (2usize..4).prop_map(|depth| MebKind::Fifo { depth }),
-    ]
-}
-
-/// Deterministic Fisher–Yates (LCG-driven) over the builder insertion
-/// order, so the same `order_seed` always yields the same permutation.
-fn shuffle<T>(items: &mut [T], mut seed: u64) {
-    for i in (1..items.len()).rev() {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (seed >> 33) as usize % (i + 1);
-        items.swap(i, j);
-    }
-}
-
-/// Randomized topology shared with `ranked_schedule.rs`: source → MEB →
-/// (fork/join diamond over skewed variable-latency arms, or a single
-/// variable-latency unit) → MEB chain → randomly-stalling sink.
-#[derive(Clone, Debug)]
-struct NetParams {
-    threads: usize,
-    tokens: u64,
-    kind: MebKind,
-    diamond: bool,
-    tail_stages: usize,
-    p_ready: f64,
-    seed: u64,
-}
-
-/// Per-thread captures plus the evaluation count of the run.
-type RunResult = (Vec<Vec<(u64, u64)>>, u64);
-
-/// Builds and runs the network under the requested backend, adding
-/// components in the permutation selected by `order_seed`.
-fn run_net(
-    p: &NetParams,
-    backend: KernelBackend,
-    mode: EvalMode,
-    schedule: ScheduleMode,
-    order_seed: u64,
-) -> RunResult {
-    let mut b = CircuitBuilder::<Tagged>::new();
-    let src_ch = b.channel("src", p.threads);
-    let work = b.channel("work", p.threads);
-    let mid = b.channel("mid", p.threads);
-    let tail = b.channels("tail", p.threads, p.tail_stages + 1);
-
-    let mut comps: Vec<Box<dyn Component<Tagged>>> = Vec::new();
-    let mut src = Source::new("src", src_ch, p.threads);
-    for t in 0..p.threads {
-        src.extend(t, (0..p.tokens).map(|i| Tagged::new(t, i, i)));
-    }
-    comps.push(Box::new(src));
-    comps.push(p.kind.build_with::<Tagged>(
-        "head",
-        src_ch,
-        work,
-        p.threads,
-        ArbiterKind::RoundRobin,
-    ));
-    if p.diamond {
-        let arm_a = b.channel("arm_a", p.threads);
-        let arm_b = b.channel("arm_b", p.threads);
-        let done_a = b.channel("done_a", p.threads);
-        let done_b = b.channel("done_b", p.threads);
-        comps.push(Box::new(Fork::new(
-            "split",
-            work,
-            vec![arm_a, arm_b],
-            p.threads,
-            ForkMode::Eager,
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ua",
-            arm_a,
-            done_a,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ub",
-            arm_b,
-            done_b,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 2,
-                seed: p.seed ^ 7,
-            },
-        )));
-        comps.push(Box::new(Join::new(
-            "pair",
-            vec![done_a, done_b],
-            mid,
-            p.threads,
-            |ins: &[&Tagged]| ins[0].clone(),
-        )));
-    } else {
-        comps.push(Box::new(VarLatency::new(
-            "u",
-            work,
-            mid,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-    }
-    comps.push(p.kind.build_with::<Tagged>(
-        "bridge",
-        mid,
-        tail[0],
-        p.threads,
-        ArbiterKind::RoundRobin,
-    ));
-    for i in 0..p.tail_stages {
-        comps.push(p.kind.build_with::<Tagged>(
-            format!("tail{i}"),
-            tail[i],
-            tail[i + 1],
-            p.threads,
-            ArbiterKind::RoundRobin,
-        ));
-    }
-    let out = tail[p.tail_stages];
-    comps.push(Box::new(Sink::with_capture(
-        "snk",
-        out,
-        p.threads,
-        ReadyPolicy::Random {
-            p: p.p_ready,
-            seed: p.seed ^ 13,
-        },
-    )));
-
-    shuffle(&mut comps, order_seed);
-    for c in comps {
-        b.add_boxed(c);
-    }
-    b.set_schedule(schedule);
-    b.set_backend(backend);
-    if backend == KernelBackend::Fused {
-        b.set_fuser(mt_elastic::synth::fuse);
-    }
-    let mut circuit = b.build().expect("random acyclic net is well-formed");
-    circuit.set_eval_mode(mode);
-    circuit.set_deadlock_watchdog(Some(400));
-    let expected = p.tokens * p.threads as u64;
-    let budget = 400 + expected * 24;
-    let done = circuit.run_until(budget, move |c| c.stats().total_transfers(out) >= expected);
-    assert!(matches!(done, Ok(true)), "net did not drain: {done:?}");
-    let snk: &Sink<Tagged> = circuit.get("snk").expect("sink");
-    let captures = (0..p.threads)
-        .map(|t| {
-            snk.captured(t)
-                .iter()
-                .map(|(c, tok)| (*c, tok.seq))
-                .collect()
-        })
-        .collect();
-    (captures, circuit.stats().kernel().component_evals)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -221,44 +43,32 @@ proptest! {
     ) {
         let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
 
-        for schedule in [ScheduleMode::Ranked, ScheduleMode::Insertion, ScheduleMode::Reversed] {
-            // Bar 1: the fused backend is invisible under both settle
-            // modes — same schedule, same mode, different dispatch.
-            let interp =
-                run_net(&p, KernelBackend::Interpreted, EvalMode::EventDriven, schedule, order_seed);
-            let fused =
-                run_net(&p, KernelBackend::Fused, EvalMode::EventDriven, schedule, order_seed);
-            prop_assert_eq!(
-                &interp.0, &fused.0,
-                "{:?}: fused backend diverged from interpreted (event-driven)", schedule
-            );
-            prop_assert_eq!(
-                interp.1, fused.1,
-                "{:?}: fused backend changed the evaluation count", schedule
-            );
+        // Bar 1: the fused backend is invisible — same rank schedule,
+        // same mode, different dispatch.
+        let interp = run_net(&p, KernelBackend::Interpreted, EvalMode::EventDriven, order_seed);
+        let fused = run_net(&p, KernelBackend::Fused, EvalMode::EventDriven, order_seed);
+        prop_assert_eq!(
+            &interp.0, &fused.0,
+            "fused backend diverged from interpreted (event-driven)"
+        );
+        prop_assert_eq!(interp.1, fused.1, "fused backend changed the evaluation count");
 
-            // Bar 2: fused event-driven vs fused exhaustive oracle.
-            let fused_oracle =
-                run_net(&p, KernelBackend::Fused, EvalMode::Exhaustive, schedule, order_seed);
-            prop_assert_eq!(
-                &fused.0, &fused_oracle.0,
-                "{:?}: fused dirty-set kernel diverged from the fused oracle", schedule
-            );
-        }
+        // Bar 2: fused event-driven vs fused exhaustive oracle.
+        let fused_oracle = run_net(&p, KernelBackend::Fused, EvalMode::Exhaustive, order_seed);
+        prop_assert_eq!(
+            &fused.0, &fused_oracle.0,
+            "fused dirty-set kernel diverged from the fused oracle"
+        );
 
         // Builder insertion order must not leak through the lowering on
         // signal-acyclic nets (on the diamond the damped feedback makes
         // the fixed point legitimately order-sensitive, exactly as in
         // `ranked_schedule.rs`).
         if !diamond {
-            let a = run_net(
-                &p, KernelBackend::Fused, EvalMode::EventDriven, ScheduleMode::Ranked, order_seed,
-            );
             let b = run_net(
-                &p, KernelBackend::Fused, EvalMode::EventDriven, ScheduleMode::Ranked,
-                order_seed ^ 0xDEAD_BEEF,
+                &p, KernelBackend::Fused, EvalMode::EventDriven, order_seed ^ 0xDEAD_BEEF,
             );
-            prop_assert_eq!(&a.0, &b.0, "insertion order leaked through the fused lowering");
+            prop_assert_eq!(&fused.0, &b.0, "insertion order leaked through the fused lowering");
         }
     }
 }
@@ -266,7 +76,7 @@ proptest! {
 /// Deterministic S = 65 word-boundary case: every `ThreadMask` in the
 /// net spills past the inline word, exercising the multi-word paths of
 /// the fused word-level commits, the rotation scans, and the occupancy
-/// complement. Checked across backends, modes, and all three schedules.
+/// complement. Checked across backends and modes.
 #[test]
 fn fused_backend_matches_interpreted_at_the_word_boundary() {
     let p = NetParams {
@@ -278,43 +88,21 @@ fn fused_backend_matches_interpreted_at_the_word_boundary() {
         p_ready: 0.55,
         seed: 0x65,
     };
-    for schedule in [
-        ScheduleMode::Ranked,
-        ScheduleMode::Insertion,
-        ScheduleMode::Reversed,
-    ] {
-        let interp = run_net(
-            &p,
-            KernelBackend::Interpreted,
-            EvalMode::EventDriven,
-            schedule,
-            0x5eed,
-        );
-        let fused = run_net(
-            &p,
-            KernelBackend::Fused,
-            EvalMode::EventDriven,
-            schedule,
-            0x5eed,
-        );
-        let oracle = run_net(
-            &p,
-            KernelBackend::Fused,
-            EvalMode::Exhaustive,
-            schedule,
-            0x5eed,
-        );
-        assert_eq!(
-            interp.0, fused.0,
-            "{schedule:?}: S=65 fused captures diverged from interpreted"
-        );
-        assert_eq!(
-            interp.1, fused.1,
-            "{schedule:?}: S=65 fused evaluation count diverged"
-        );
-        assert_eq!(
-            fused.0, oracle.0,
-            "{schedule:?}: S=65 fused kernel diverged from its oracle"
-        );
-    }
+    let interp = run_net(
+        &p,
+        KernelBackend::Interpreted,
+        EvalMode::EventDriven,
+        0x5eed,
+    );
+    let fused = run_net(&p, KernelBackend::Fused, EvalMode::EventDriven, 0x5eed);
+    let oracle = run_net(&p, KernelBackend::Fused, EvalMode::Exhaustive, 0x5eed);
+    assert_eq!(
+        interp.0, fused.0,
+        "S=65 fused captures diverged from interpreted"
+    );
+    assert_eq!(interp.1, fused.1, "S=65 fused evaluation count diverged");
+    assert_eq!(
+        fused.0, oracle.0,
+        "S=65 fused kernel diverged from its oracle"
+    );
 }

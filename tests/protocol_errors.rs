@@ -2,8 +2,8 @@
 //! circuits must be *reported*, not mis-simulated.
 
 use mt_elastic::sim::{
-    impl_as_any, BuildError, ChannelId, CircuitBuilder, Component, EvalCtx, Ports, ProtocolError,
-    ReadyPolicy, SimError, Sink, Source, TickCtx, Transform,
+    impl_as_any, BuildError, ChannelId, CircuitBuilder, CombPath, Component, EvalCtx, Ports,
+    ProtocolError, ReadyPolicy, SimError, Sink, Source, TickCtx, Transform,
 };
 
 /// A misbehaving producer that asserts two valids at once.
@@ -137,6 +137,72 @@ fn unbuffered_combinational_loop_is_detected() {
         }
         other => panic!("expected CombinationalLoop, got {other}"),
     }
+}
+
+/// A ring whose components declare their arcs damped but break the
+/// hysteresis promise (they flip their outputs on every eval) passes
+/// `build()` and never settles: the runtime round cap fires and the
+/// error names both ring channels as still toggling.
+#[test]
+fn broken_damping_fails_at_run_time_naming_the_toggling_channels() {
+    struct Flipper {
+        name: &'static str,
+        inp: ChannelId,
+        out: ChannelId,
+        phase: bool,
+    }
+    impl Component<u64> for Flipper {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn ports(&self) -> Ports {
+            Ports::new([self.inp], [self.out])
+        }
+        fn comb_paths(&self) -> Vec<CombPath> {
+            vec![
+                CombPath::ReadyToValid {
+                    from: self.out,
+                    to: self.out,
+                    damped: true,
+                },
+                CombPath::ValidToReady {
+                    from: self.inp,
+                    to: self.inp,
+                },
+            ]
+        }
+        fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
+            self.phase = !self.phase;
+            if self.phase {
+                ctx.drive_token(self.out, 0, 0);
+            } else {
+                ctx.drive_idle(self.out);
+            }
+            ctx.set_ready(self.inp, 0, self.phase);
+        }
+        fn tick(&mut self, _ctx: &TickCtx<'_, u64>) {}
+        impl_as_any!();
+    }
+    let mut b = CircuitBuilder::<u64>::new();
+    let x = b.channel("x", 1);
+    let y = b.channel("y", 1);
+    for (name, inp, out) in [("f0", x, y), ("f1", y, x)] {
+        b.add(Flipper {
+            name,
+            inp,
+            out,
+            phase: false,
+        });
+    }
+    let mut circuit = b.build().expect("damped ring is legal at build time");
+    let err = circuit.step().expect_err("the ring never settles");
+    match &err {
+        SimError::CombinationalLoop { toggling, .. } => {
+            assert_eq!(toggling, &vec!["x".to_string(), "y".to_string()]);
+        }
+        other => panic!("expected CombinationalLoop, got {other}"),
+    }
+    assert!(err.to_string().contains("`x`, `y`"), "{err}");
 }
 
 /// A component driving a channel it does not own is a programming error

@@ -2,13 +2,12 @@
 //!
 //! Two equivalence bars, in decreasing strength:
 //!
-//! 1. **Kernel soundness** — for *every* schedule (ranked, insertion,
-//!    reversed) and every shuffled builder insertion order, the
-//!    event-driven dirty-set kernel must match the exhaustive oracle
+//! 1. **Kernel soundness** — for every shuffled builder insertion order,
+//!    the event-driven dirty-set kernel must match the exhaustive oracle
 //!    byte for byte. Holds unconditionally.
-//! 2. **Schedule independence** — on *signal-acyclic* nets every eval is
-//!    a pure function of the handshake state, the cycle's fixed point is
-//!    unique, and the captures are identical across schedules and
+//! 2. **Insertion-order independence** — on *signal-acyclic* nets every
+//!    eval is a pure function of the handshake state, the cycle's fixed
+//!    point is unique, and the captures are identical across builder
 //!    insertion orders (the purity argument of `docs/kernel.md`).
 //!    The fork/join diamond is deliberately *excluded* from this bar:
 //!    the Join's valid→ready coupling closes a (damped) signal cycle
@@ -16,181 +15,16 @@
 //!    the anti-swap hysteresis legitimately picks an order-dependent —
 //!    but individually valid — fixed point. There the weaker guarantee
 //!    is token conservation per thread.
+//!
+//! A deterministic S = 8 pipeline test then pins the rank schedule's
+//! one-round settle and the backends' identical work.
 
-use mt_elastic::core::{ArbiterKind, Fork, ForkMode, Join, MebKind};
-use mt_elastic::sim::{
-    CircuitBuilder, Component, EvalMode, LatencyModel, ReadyPolicy, ScheduleMode, Sink, Source,
-    Tagged, VarLatency,
-};
+mod common;
+
+use common::{meb_kind_strategy, run_net, NetParams};
+use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
+use mt_elastic::sim::{EvalMode, KernelBackend, KernelStats, ReadyPolicy, Tagged};
 use proptest::prelude::*;
-
-fn meb_kind_strategy() -> impl Strategy<Value = MebKind> {
-    prop_oneof![
-        Just(MebKind::Full),
-        Just(MebKind::Reduced),
-        (2usize..4).prop_map(|depth| MebKind::Fifo { depth }),
-    ]
-}
-
-/// Deterministic Fisher–Yates (LCG-driven) over the builder insertion
-/// order, so the same `order_seed` always yields the same permutation.
-fn shuffle<T>(items: &mut [T], mut seed: u64) {
-    for i in (1..items.len()).rev() {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (seed >> 33) as usize % (i + 1);
-        items.swap(i, j);
-    }
-}
-
-/// Randomized topology: source → MEB → (fork/join diamond over skewed
-/// variable-latency arms, or a single variable-latency unit) → a short
-/// MEB chain → randomly-stalling sink.
-#[derive(Clone, Debug)]
-struct NetParams {
-    threads: usize,
-    tokens: u64,
-    kind: MebKind,
-    diamond: bool,
-    tail_stages: usize,
-    p_ready: f64,
-    seed: u64,
-}
-
-/// Builds and runs the network, adding components in the permutation
-/// selected by `order_seed`, and returns the per-thread captures.
-fn run_net(
-    p: &NetParams,
-    mode: EvalMode,
-    schedule: ScheduleMode,
-    order_seed: u64,
-) -> Vec<Vec<(u64, u64)>> {
-    let mut b = CircuitBuilder::<Tagged>::new();
-    let src_ch = b.channel("src", p.threads);
-    let work = b.channel("work", p.threads);
-    let mid = b.channel("mid", p.threads);
-    let tail = b.channels("tail", p.threads, p.tail_stages + 1);
-
-    let mut comps: Vec<Box<dyn Component<Tagged>>> = Vec::new();
-    let mut src = Source::new("src", src_ch, p.threads);
-    for t in 0..p.threads {
-        src.extend(t, (0..p.tokens).map(|i| Tagged::new(t, i, i)));
-    }
-    comps.push(Box::new(src));
-    comps.push(p.kind.build_with::<Tagged>(
-        "head",
-        src_ch,
-        work,
-        p.threads,
-        ArbiterKind::RoundRobin,
-    ));
-    if p.diamond {
-        let arm_a = b.channel("arm_a", p.threads);
-        let arm_b = b.channel("arm_b", p.threads);
-        let done_a = b.channel("done_a", p.threads);
-        let done_b = b.channel("done_b", p.threads);
-        comps.push(Box::new(Fork::new(
-            "split",
-            work,
-            vec![arm_a, arm_b],
-            p.threads,
-            ForkMode::Eager,
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ua",
-            arm_a,
-            done_a,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-        comps.push(Box::new(VarLatency::new(
-            "ub",
-            arm_b,
-            done_b,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 2,
-                seed: p.seed ^ 7,
-            },
-        )));
-        comps.push(Box::new(Join::new(
-            "pair",
-            vec![done_a, done_b],
-            mid,
-            p.threads,
-            |ins: &[&Tagged]| ins[0].clone(),
-        )));
-    } else {
-        comps.push(Box::new(VarLatency::new(
-            "u",
-            work,
-            mid,
-            p.threads,
-            2,
-            LatencyModel::Uniform {
-                min: 1,
-                max: 3,
-                seed: p.seed,
-            },
-        )));
-    }
-    comps.push(p.kind.build_with::<Tagged>(
-        "bridge",
-        mid,
-        tail[0],
-        p.threads,
-        ArbiterKind::RoundRobin,
-    ));
-    for i in 0..p.tail_stages {
-        comps.push(p.kind.build_with::<Tagged>(
-            format!("tail{i}"),
-            tail[i],
-            tail[i + 1],
-            p.threads,
-            ArbiterKind::RoundRobin,
-        ));
-    }
-    let out = tail[p.tail_stages];
-    comps.push(Box::new(Sink::with_capture(
-        "snk",
-        out,
-        p.threads,
-        ReadyPolicy::Random {
-            p: p.p_ready,
-            seed: p.seed ^ 13,
-        },
-    )));
-
-    shuffle(&mut comps, order_seed);
-    for c in comps {
-        b.add_boxed(c);
-    }
-    b.set_schedule(schedule);
-    let mut circuit = b.build().expect("random acyclic net is well-formed");
-    circuit.set_eval_mode(mode);
-    circuit.set_deadlock_watchdog(Some(400));
-    let expected = p.tokens * p.threads as u64;
-    let budget = 400 + expected * 24;
-    let done = circuit.run_until(budget, move |c| c.stats().total_transfers(out) >= expected);
-    assert!(matches!(done, Ok(true)), "net did not drain: {done:?}");
-    let snk: &Sink<Tagged> = circuit.get("snk").expect("sink");
-    (0..p.threads)
-        .map(|t| {
-            snk.captured(t)
-                .iter()
-                .map(|(c, tok)| (*c, tok.seq))
-                .collect()
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -209,48 +43,106 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
-        let reference = run_net(&p, EvalMode::EventDriven, ScheduleMode::Ranked, order_seed);
+        let run = |mode, order_seed| run_net(&p, KernelBackend::Interpreted, mode, order_seed).0;
+        let fast = run(EvalMode::EventDriven, order_seed);
 
-        // Bar 1: the dirty-set kernel matches the exhaustive oracle
-        // under every static ordering, on every topology.
-        for schedule in [ScheduleMode::Ranked, ScheduleMode::Insertion, ScheduleMode::Reversed] {
-            let fast = run_net(&p, EvalMode::EventDriven, schedule, order_seed);
-            let oracle = run_net(&p, EvalMode::Exhaustive, schedule, order_seed);
-            prop_assert_eq!(
-                &fast, &oracle,
-                "{:?}: event-driven kernel diverged from the exhaustive oracle", schedule
-            );
-            if diamond {
-                // Feedback (damped) signal cycle through the join: the
-                // schedules may settle on different — individually valid
-                // — arbitration orders, but never lose or forge tokens.
-                for (t, caps) in fast.iter().enumerate() {
-                    let mut seqs: Vec<u64> = caps.iter().map(|&(_, s)| s).collect();
-                    seqs.sort_unstable();
-                    prop_assert_eq!(&seqs, &(0..tokens).collect::<Vec<_>>(), "thread {}", t);
-                }
-            } else {
-                // Bar 2: signal-acyclic net — the fixed point is unique,
-                // so the schedule is behaviourally invisible.
-                prop_assert_eq!(
-                    &reference, &fast,
-                    "{:?} schedule diverged from ranked on an acyclic net", schedule
-                );
+        // Bar 1: the dirty-set kernel matches the exhaustive oracle on
+        // every topology.
+        let oracle = run(EvalMode::Exhaustive, order_seed);
+        prop_assert_eq!(
+            &fast, &oracle,
+            "event-driven kernel diverged from the exhaustive oracle"
+        );
+        if diamond {
+            // Feedback (damped) signal cycle through the join: insertion
+            // orders may settle on different — individually valid —
+            // arbitration orders, but never lose or forge tokens.
+            for (t, caps) in fast.iter().enumerate() {
+                let mut seqs: Vec<u64> = caps.iter().map(|&(_, s)| s).collect();
+                seqs.sort_unstable();
+                prop_assert_eq!(&seqs, &(0..tokens).collect::<Vec<_>>(), "thread {}", t);
             }
-        }
-
-        // A different builder insertion order must not change behaviour
-        // on acyclic nets either — the rank schedule (and the fixed
-        // point itself) is a property of the netlist, not of
-        // construction order.
-        if !diamond {
-            let reshuffled = run_net(
-                &p, EvalMode::EventDriven, ScheduleMode::Ranked, order_seed ^ 0xDEAD_BEEF,
-            );
+        } else {
+            // Bar 2: a different builder insertion order must not change
+            // behaviour on acyclic nets — the rank schedule (and the
+            // fixed point itself) is a property of the netlist, not of
+            // construction order.
+            let reshuffled = run(EvalMode::EventDriven, order_seed ^ 0xDEAD_BEEF);
             prop_assert_eq!(
-                &reference, &reshuffled,
+                &fast, &reshuffled,
                 "builder insertion order leaked into behaviour"
             );
         }
     }
+}
+
+/// Runs the 8-thread × 8-stage reduced-MEB pipeline for 1,500 cycles and
+/// returns its per-thread captures and kernel counters. `backpressured`
+/// adds irregular per-thread sink stalls so downstream ready keeps
+/// changing.
+fn run_s8(
+    backpressured: bool,
+    mode: EvalMode,
+    backend: KernelBackend,
+) -> (Vec<Vec<(u64, u64)>>, KernelStats) {
+    const THREADS: usize = 8;
+    const STAGES: usize = 8;
+    let fuser = match backend {
+        KernelBackend::Fused => Some(mt_elastic::synth::fuse::<Tagged> as _),
+        KernelBackend::Interpreted => None,
+    };
+    let mut cfg = PipelineConfig::free_flowing(THREADS, STAGES, MebKind::Reduced, 64)
+        .with_eval_mode(mode)
+        .with_backend(backend, fuser);
+    if backpressured {
+        for t in 0..THREADS {
+            cfg.sink_policies[t] = ReadyPolicy::Random {
+                p: 0.35,
+                seed: 0xC0FFEE ^ t as u64,
+            };
+        }
+    }
+    let mut h = PipelineHarness::build(cfg);
+    h.circuit.run(1_500).expect("S = 8 pipeline runs clean");
+    let captures = (0..THREADS)
+        .map(|t| {
+            h.sink()
+                .captured(t)
+                .iter()
+                .map(|(c, tok)| (*c, tok.seq))
+                .collect()
+        })
+        .collect();
+    (captures, *h.circuit.stats().kernel())
+}
+
+/// The rank schedule settles the straight S = 8 pipeline in one round
+/// per cycle; under backpressure the interpreted, fused and exhaustive
+/// kernels capture identically, and the fused backend performs exactly
+/// the interpreted evaluation and round counts.
+#[test]
+fn s8_pipeline_settles_in_one_round_and_backends_agree() {
+    let (_, straight) = run_s8(false, EvalMode::EventDriven, KernelBackend::Interpreted);
+    let straight_mean = straight.rounds_per_cycle();
+    assert!(
+        straight_mean <= 1.05,
+        "straight pipeline settle-round mean {straight_mean:.3} exceeds 1.05"
+    );
+
+    let (interp, ik) = run_s8(true, EvalMode::EventDriven, KernelBackend::Interpreted);
+    let (fused, fk) = run_s8(true, EvalMode::EventDriven, KernelBackend::Fused);
+    let (oracle, _) = run_s8(true, EvalMode::Exhaustive, KernelBackend::Interpreted);
+    assert_eq!(interp, fused, "fused captures diverged from interpreted");
+    assert_eq!(
+        interp, oracle,
+        "event-driven captures diverged from the oracle"
+    );
+    assert_eq!(
+        fk.component_evals, ik.component_evals,
+        "fused backend changed the evaluation count"
+    );
+    assert_eq!(
+        fk.settle_rounds, ik.settle_rounds,
+        "fused backend changed the settle-round count"
+    );
 }
