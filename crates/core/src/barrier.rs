@@ -16,7 +16,7 @@
 
 use elastic_sim::{
     impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    SlotView, TickCtx, Token,
+    SlotView, ThreadMask, TickCtx, Token,
 };
 
 /// Per-thread barrier FSM state (paper, Fig. 8).
@@ -65,9 +65,21 @@ pub struct Barrier<T: Token> {
     inp: ChannelId,
     out: ChannelId,
     threads: usize,
-    participant: Vec<bool>,
-    state: Vec<BarrierState>,
-    lgo: Vec<bool>,
+    participant: ThreadMask,
+    /// Cached `participant.count_ones()`: the counter value that opens
+    /// the barrier.
+    participants: usize,
+    /// Threads in **WAIT**.
+    waiting: ThreadMask,
+    /// Per-thread local go flags `lgo(i)`, loaded on arrival.
+    lgo: ThreadMask,
+    /// The registered gate `¬participant ∨ FREE`: the threads whose
+    /// handshake passes through this cycle. A participant is **FREE**
+    /// exactly when its gate bit is set, and **IDLE** when it is neither
+    /// waiting nor free.
+    open: ThreadMask,
+    /// Scratch word for the eval commits and the WAIT → FREE step.
+    word: ThreadMask,
     go: bool,
     count: usize,
     /// Number of phases completed (barrier openings) — handy for tests
@@ -88,20 +100,27 @@ impl<T: Token> Barrier<T> {
     /// Panics if `threads == 0`.
     pub fn new(name: impl Into<String>, inp: ChannelId, out: ChannelId, threads: usize) -> Self {
         assert!(threads > 0, "a barrier needs at least one thread");
-        Self {
+        let mut participant = ThreadMask::new(threads);
+        participant.fill();
+        let mut barrier = Self {
             name: name.into(),
             inp,
             out,
             threads,
-            participant: vec![true; threads],
-            state: vec![BarrierState::Idle; threads],
-            lgo: vec![false; threads],
+            participant,
+            participants: threads,
+            waiting: ThreadMask::new(threads),
+            lgo: ThreadMask::new(threads),
+            open: ThreadMask::new(threads),
+            word: ThreadMask::new(threads),
             go: false,
             count: 0,
             releases: 0,
             on_release: None,
             _marker: std::marker::PhantomData,
-        }
+        };
+        barrier.rewind();
+        barrier
     }
 
     /// Registers an action to run at the clock edge of every barrier
@@ -128,13 +147,21 @@ impl<T: Token> Barrier<T> {
             mask.iter().any(|&p| p),
             "a barrier needs at least one participant"
         );
-        self.participant = mask;
+        self.participant = ThreadMask::from_bools(&mask);
+        self.participants = self.participant.count_ones();
+        self.rewind();
         self
     }
 
     /// Current FSM state of `thread`.
     pub fn thread_state(&self, thread: usize) -> BarrierState {
-        self.state[thread]
+        if self.waiting.get(thread) {
+            BarrierState::Wait
+        } else if self.participant.get(thread) && self.open.get(thread) {
+            BarrierState::Free
+        } else {
+            BarrierState::Idle
+        }
     }
 
     /// Threads that have arrived in the current phase.
@@ -152,8 +179,15 @@ impl<T: Token> Barrier<T> {
         self.releases
     }
 
-    fn participants_total(&self) -> usize {
-        self.participant.iter().filter(|&&p| p).count()
+    /// Every FSM back to **IDLE** and the release history cleared, so the
+    /// gate is open for non-participants only.
+    fn rewind(&mut self) {
+        self.waiting.clear();
+        self.lgo.clear();
+        self.open.assign_not(&self.participant);
+        self.go = false;
+        self.count = 0;
+        self.releases = 0;
     }
 }
 
@@ -187,12 +221,13 @@ impl<T: Token> Component<T> for Barrier<T> {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            let open = !self.participant[t] || self.state[t] == BarrierState::Free;
-            let vin = ctx.valid(self.inp, t);
-            ctx.set_valid(self.out, t, vin && open);
-            ctx.set_ready(self.inp, t, open && ctx.ready(self.out, t));
-        }
+        // valid(out) = valid(inp) ∧ open; ready(inp) = ready(out) ∧ open.
+        self.word.copy_from(ctx.valid_mask(self.inp));
+        self.word.and_with(&self.open);
+        ctx.set_valid_mask(self.out, &self.word);
+        self.word.copy_from(ctx.ready_mask(self.out));
+        self.word.and_with(&self.open);
+        ctx.set_ready_mask(self.inp, &self.word);
         let data = ctx.data(self.inp).cloned();
         ctx.set_data(self.out, data);
     }
@@ -200,41 +235,47 @@ impl<T: Token> Component<T> for Barrier<T> {
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         let old_go = self.go;
 
-        // WAIT → FREE: the flag flipped in an earlier cycle.
-        for t in 0..self.threads {
-            if self.state[t] == BarrierState::Wait && self.lgo[t] != old_go {
-                self.state[t] = BarrierState::Free;
+        // WAIT → FREE: the flag flipped in an earlier cycle, so these
+        // threads' local flags no longer match it (waiting ∧ lgo ≠ go).
+        if self.waiting.any() {
+            if old_go {
+                self.word.assign_not(&self.lgo);
+            } else {
+                self.word.copy_from(&self.lgo);
             }
+            self.word.and_with(&self.waiting);
+            self.open.or_with(&self.word);
+            self.waiting.and_not_with(&self.word);
         }
 
         // FREE → IDLE: the token passed downstream this cycle.
         if let Some((t, _)) = ctx.fired_any(self.out) {
-            if self.participant[t] {
+            if self.participant.get(t) {
                 debug_assert_eq!(
-                    self.state[t],
+                    self.thread_state(t),
                     BarrierState::Free,
                     "barrier `{}`: a participating token passed while not FREE",
                     self.name
                 );
-                self.state[t] = BarrierState::Idle;
+                self.open.set(t, false);
             }
         }
 
-        // IDLE → WAIT: a new (unconsumed) token reached the barrier.
-        for t in 0..self.threads {
-            let arriving = ctx.valid(self.inp, t)
-                && !ctx.fired(self.inp, t)
-                && self.participant[t]
-                && self.state[t] == BarrierState::Idle;
+        // IDLE → WAIT: a new (unconsumed) token reached the barrier. The
+        // channel carries at most one valid thread: the offered one.
+        if let Some(t) = ctx.valid_mask(self.inp).first_one() {
+            let arriving = !ctx.ready(self.inp, t)
+                && self.participant.get(t)
+                && self.thread_state(t) == BarrierState::Idle;
             if arriving {
-                self.state[t] = BarrierState::Wait;
-                self.lgo[t] = old_go;
+                self.waiting.set(t, true);
+                self.lgo.set(t, old_go);
                 self.count += 1;
             }
         }
 
         // Counter full: reset and flip the global flag.
-        if self.count == self.participants_total() && self.count > 0 {
+        if self.count == self.participants && self.count > 0 {
             self.count = 0;
             self.go = !self.go;
             self.releases += 1;
@@ -247,7 +288,7 @@ impl<T: Token> Component<T> for Barrier<T> {
     fn slots(&self) -> Vec<SlotView> {
         (0..self.threads)
             .map(|t| {
-                let label = match self.state[t] {
+                let label = match self.thread_state(t) {
                     BarrierState::Idle => None,
                     BarrierState::Wait => Some("wait"),
                     BarrierState::Free => Some("free"),
@@ -267,11 +308,7 @@ impl<T: Token> Component<T> for Barrier<T> {
     fn reset(&mut self) -> bool {
         // Participation and the release callback are configuration; the
         // per-thread FSMs and release history rewind.
-        self.state.iter_mut().for_each(|s| *s = BarrierState::Idle);
-        self.lgo.iter_mut().for_each(|b| *b = false);
-        self.go = false;
-        self.count = 0;
-        self.releases = 0;
+        self.rewind();
         true
     }
 
@@ -398,6 +435,32 @@ mod tests {
         circuit.run(40).expect("no deadlock");
         let snk: &Sink<Tagged> = circuit.get("snk").expect("sink");
         assert_eq!(snk.consumed(0), 4);
+    }
+
+    #[test]
+    fn closed_at_construction_and_after_reset() {
+        // Thread 0 arrives alone: a barrier built without
+        // `with_participants` counts both threads, so its gate must stay
+        // shut — first on a fresh build, then again after `reset`.
+        let (mut circuit, y) = barrier_fixture(2, &[(0, 0)]);
+        for run in ["fresh", "reset"] {
+            circuit.run(20).expect("clean");
+            assert_eq!(
+                circuit.stats().total_transfers(y),
+                0,
+                "{run} barrier let a lone arrival through"
+            );
+            let bar: &Barrier<Tagged> = circuit.get("bar").expect("barrier");
+            assert_eq!(bar.thread_state(0), BarrierState::Wait, "{run}");
+            assert_eq!(bar.thread_state(1), BarrierState::Idle, "{run}");
+            circuit.reset().expect("barrier circuits reset");
+            let bar: &Barrier<Tagged> = circuit.get("bar").expect("barrier");
+            for t in 0..2 {
+                assert_eq!(bar.thread_state(t), BarrierState::Idle, "{run}");
+            }
+            let src: &mut Source<Tagged> = circuit.get_mut("src").expect("source");
+            src.push(0, Tagged::new(0, 0, 0));
+        }
     }
 
     #[test]

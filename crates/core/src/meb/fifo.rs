@@ -27,8 +27,12 @@ pub struct FifoMeb<T: Token> {
     queues: Vec<VecDeque<T>>,
     arbiter: Box<dyn Arbiter>,
     select: SelectState,
-    /// Persistent "thread has data" mask, rebuilt in place each eval.
+    /// "Thread has data" mask (queue non-empty), refreshed per touched
+    /// thread at the clock edge.
     has: ThreadMask,
+    /// Upstream ready word (`len < depth`), refreshed alongside `has`
+    /// and committed whole every eval.
+    ready: ThreadMask,
 }
 
 impl<T: Token> FifoMeb<T> {
@@ -47,7 +51,7 @@ impl<T: Token> FifoMeb<T> {
     ) -> Self {
         assert!(threads > 0, "a MEB needs at least one thread");
         assert!(depth > 0, "per-thread FIFO depth must be at least 1");
-        Self {
+        let mut meb = Self {
             name: name.into(),
             inp,
             out,
@@ -59,7 +63,10 @@ impl<T: Token> FifoMeb<T> {
             arbiter,
             select: SelectState::new(),
             has: ThreadMask::new(threads),
-        }
+            ready: ThreadMask::new(threads),
+        };
+        meb.empty_words();
+        meb
     }
 
     /// Pre-loads tokens before the first cycle (the dataflow "initial
@@ -85,8 +92,22 @@ impl<T: Token> FifoMeb<T> {
                 });
             }
             self.queues[t].push_back(tok);
+            self.refresh(t);
         }
         Ok(self)
+    }
+
+    /// Sets the handshake words of a MEB with no stored item: nothing to
+    /// offer, every thread ready.
+    fn empty_words(&mut self) {
+        self.has.clear();
+        self.ready.fill();
+    }
+
+    /// Re-derives thread `t`'s `has`/`ready` bits from its queue.
+    fn refresh(&mut self, t: usize) {
+        self.has.set(t, !self.queues[t].is_empty());
+        self.ready.set(t, self.queues[t].len() < self.depth);
     }
 
     /// Items stored for `thread`.
@@ -135,10 +156,7 @@ impl<T: Token> Component<T> for FifoMeb<T> {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, self.queues[t].len() < self.depth);
-            self.has.set(t, !self.queues[t].is_empty());
-        }
+        ctx.set_ready_mask(self.inp, &self.ready);
         match self
             .select
             .select(ctx, self.out, self.arbiter.as_ref(), &self.has)
@@ -154,11 +172,13 @@ impl<T: Token> Component<T> for FifoMeb<T> {
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         if let Some((t, _)) = ctx.fired_any(self.out) {
             self.queues[t].pop_front();
+            self.refresh(t);
             self.arbiter.commit(t);
         }
         if let Some((t, data)) = ctx.fired_any(self.inp) {
             debug_assert!(self.queues[t].len() < self.depth, "enqueue into full FIFO");
             self.queues[t].push_back(data.clone());
+            self.refresh(t);
         }
         self.select.on_tick(ctx, self.out);
     }
@@ -186,7 +206,7 @@ impl<T: Token> Component<T> for FifoMeb<T> {
         }
         self.arbiter.reset();
         self.select.reset();
-        self.has.clear();
+        self.empty_words();
         true
     }
 

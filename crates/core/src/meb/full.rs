@@ -51,8 +51,12 @@ pub struct FullMeb<T: Token> {
     aux: Vec<Option<T>>,
     arbiter: Box<dyn Arbiter>,
     select: SelectState,
-    /// Persistent "thread has data" mask, rebuilt in place each eval.
+    /// "Thread has data" mask (`main[t]` occupied), refreshed per touched
+    /// thread at the clock edge.
     has: ThreadMask,
+    /// Upstream ready word (`occupancy(t) < 2`), refreshed alongside
+    /// `has` and committed whole every eval.
+    ready: ThreadMask,
 }
 
 impl<T: Token> FullMeb<T> {
@@ -69,7 +73,7 @@ impl<T: Token> FullMeb<T> {
         arbiter: Box<dyn Arbiter>,
     ) -> Self {
         assert!(threads > 0, "a MEB needs at least one thread");
-        Self {
+        let mut meb = Self {
             name: name.into(),
             inp,
             out,
@@ -79,7 +83,10 @@ impl<T: Token> FullMeb<T> {
             arbiter,
             select: SelectState::new(),
             has: ThreadMask::new(threads),
-        }
+            ready: ThreadMask::new(threads),
+        };
+        meb.empty_words();
+        meb
     }
 
     /// Pre-loads tokens before the first cycle (the dataflow "initial
@@ -108,8 +115,22 @@ impl<T: Token> FullMeb<T> {
                     capacity: 2,
                 });
             }
+            self.refresh(t);
         }
         Ok(self)
+    }
+
+    /// Sets the handshake words of a MEB with no stored item: nothing to
+    /// offer, every thread ready.
+    fn empty_words(&mut self) {
+        self.has.clear();
+        self.ready.fill();
+    }
+
+    /// Re-derives thread `t`'s `has`/`ready` bits from its registers.
+    fn refresh(&mut self, t: usize) {
+        self.has.set(t, self.main[t].is_some());
+        self.ready.set(t, self.occupancy(t) < 2);
     }
 
     /// Items stored for `thread` (0–2).
@@ -155,10 +176,7 @@ impl<T: Token> Component<T> for FullMeb<T> {
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         // Upstream ready: private per-thread capacity check (registered).
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, self.occupancy(t) < 2);
-            self.has.set(t, self.main[t].is_some());
-        }
+        ctx.set_ready_mask(self.inp, &self.ready);
         // Downstream valid: arbiter over threads with data.
         match self
             .select
@@ -178,6 +196,7 @@ impl<T: Token> Component<T> for FullMeb<T> {
         if let Some((t, _)) = ctx.fired_any(self.out) {
             // Dequeue: aux shifts into main.
             self.main[t] = self.aux[t].take();
+            self.refresh(t);
             self.arbiter.commit(t);
         }
         if let Some((t, data)) = ctx.fired_any(self.inp) {
@@ -187,6 +206,7 @@ impl<T: Token> Component<T> for FullMeb<T> {
                 debug_assert!(self.aux[t].is_none(), "enqueue into full per-thread EB");
                 self.aux[t] = Some(data.clone());
             }
+            self.refresh(t);
         }
         self.select.on_tick(ctx, self.out);
     }
@@ -213,7 +233,7 @@ impl<T: Token> Component<T> for FullMeb<T> {
         self.aux.iter_mut().for_each(|s| *s = None);
         self.arbiter.reset();
         self.select.reset();
-        self.has.clear();
+        self.empty_words();
         true
     }
 

@@ -8,7 +8,7 @@
 
 use elastic_sim::{
     impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    TickCtx, Token,
+    ThreadMask, TickCtx, Token,
 };
 
 /// A two-way conditional router.
@@ -47,7 +47,8 @@ pub struct Branch<T: Token> {
     inp: ChannelId,
     out_true: ChannelId,
     out_false: ChannelId,
-    threads: usize,
+    /// Scratch word for the word-level valid/ready commits.
+    word: ThreadMask,
     cond: Box<dyn Fn(&T) -> bool + Send>,
 }
 
@@ -67,7 +68,7 @@ impl<T: Token> Branch<T> {
             inp,
             out_true,
             out_false,
-            threads,
+            word: ThreadMask::new(threads),
             cond: Box::new(cond),
         }
     }
@@ -116,28 +117,19 @@ impl<T: Token> Component<T> for Branch<T> {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        let taken = ctx.data(self.inp).map(|d| (self.cond)(d));
-        for t in 0..self.threads {
-            let vin = ctx.valid(self.inp, t);
-            let (sel, other) = match taken {
-                Some(true) => (self.out_true, self.out_false),
-                _ => (self.out_false, self.out_true),
-            };
-            ctx.set_valid(sel, t, vin);
-            ctx.set_valid(other, t, false);
-            ctx.set_ready(self.inp, t, vin && ctx.ready(sel, t));
-        }
+        let (sel, other) = match ctx.data(self.inp).map(|d| (self.cond)(d)) {
+            Some(true) => (self.out_true, self.out_false),
+            _ => (self.out_false, self.out_true),
+        };
+        // valid(sel) = valid(inp); the other path idles; ready(inp) =
+        // valid(inp) ∧ ready(sel).
+        self.word.copy_from(ctx.valid_mask(self.inp));
+        ctx.set_valid_mask(sel, &self.word);
+        ctx.drive_idle(other);
+        self.word.and_with(ctx.ready_mask(sel));
+        ctx.set_ready_mask(self.inp, &self.word);
         let data = ctx.data(self.inp).cloned();
-        match taken {
-            Some(true) => {
-                ctx.set_data(self.out_true, data);
-                ctx.set_data(self.out_false, None);
-            }
-            _ => {
-                ctx.set_data(self.out_false, data);
-                ctx.set_data(self.out_true, None);
-            }
-        }
+        ctx.set_data(sel, data);
     }
 
     fn tick(&mut self, _ctx: &TickCtx<'_, T>) {}

@@ -61,7 +61,6 @@ pub struct Fork<T: Token> {
     name: String,
     inp: ChannelId,
     outputs: Vec<ChannelId>,
-    threads: usize,
     mode: ForkMode,
     /// `done[o]` bit `t`: output `o` has already received thread `t`'s
     /// current token (eager mode only).
@@ -69,6 +68,10 @@ pub struct Fork<T: Token> {
     /// Optional per-token routing: outputs whose mask entry is `false` do
     /// not receive the token (they are treated as already done).
     route: Option<RouteFn<T>>,
+    /// Scratch word for the per-output commits.
+    word: ThreadMask,
+    /// Scratch word accumulating `ready(inp)` across the outputs.
+    ready_word: ThreadMask,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -91,10 +94,11 @@ impl<T: Token> Fork<T> {
             name: name.into(),
             inp,
             outputs,
-            threads,
             mode,
             done: vec![ThreadMask::new(threads); n],
             route: None,
+            word: ThreadMask::new(threads),
+            ready_word: ThreadMask::new(threads),
             _marker: std::marker::PhantomData,
         }
     }
@@ -198,49 +202,54 @@ impl<T: Token> Component<T> for Fork<T> {
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let data = ctx.data(self.inp).cloned();
+        self.ready_word.fill();
         match self.mode {
             ForkMode::Lazy => {
-                for t in 0..self.threads {
-                    let vin = ctx.valid(self.inp, t);
-                    for (o, &out) in self.outputs.iter().enumerate() {
-                        let others_ready = self
-                            .outputs
-                            .iter()
-                            .enumerate()
-                            .filter(|&(p, _)| p != o)
-                            .all(|(_, &q)| ctx.ready(q, t));
-                        ctx.set_valid(out, t, vin && others_ready);
+                // valid(out_o) = valid(inp) ∧ ready(every other output);
+                // ready(inp) = ready(every output).
+                for (o, &out) in self.outputs.iter().enumerate() {
+                    self.word.copy_from(ctx.valid_mask(self.inp));
+                    for (p, &other) in self.outputs.iter().enumerate() {
+                        if p != o {
+                            self.word.and_with(ctx.ready_mask(other));
+                        }
                     }
-                    let all_ready = self.outputs.iter().all(|&q| ctx.ready(q, t));
-                    ctx.set_ready(self.inp, t, all_ready);
+                    ctx.set_valid_mask(out, &self.word);
+                    self.ready_word.and_with(ctx.ready_mask(out));
                 }
             }
             ForkMode::Eager => {
                 let mask = self.route_mask(data.as_ref());
-                let routed = |o: usize| mask.as_ref().is_none_or(|m| m[o]);
                 let offered = ctx.valid_mask(self.inp).first_one();
-                for t in 0..self.threads {
-                    let vin = ctx.valid(self.inp, t);
-                    for (o, &out) in self.outputs.iter().enumerate() {
-                        ctx.set_valid(out, t, vin && routed(o) && !self.done[o].get(t));
+                for (o, &out) in self.outputs.iter().enumerate() {
+                    let routed = mask.as_ref().is_none_or(|m| m[o]);
+                    // valid(out_o) = valid(inp) ∧ ¬done[o] on a routed
+                    // output, low on an unrouted one.
+                    if routed {
+                        self.word.copy_from(ctx.valid_mask(self.inp));
+                        self.word.and_not_with(&self.done[o]);
+                    } else {
+                        self.word.clear();
                     }
-                    // Input consumed once every (routed) output is done or
-                    // accepting. The mask belongs to the *offered* token;
-                    // for any other thread the data bus does not hold its
-                    // token, so answer conservatively as if it routed to
-                    // every output — a conservative ready can only be
-                    // upgraded once the thread is offered, which keeps the
-                    // upstream selection from chasing a false ready.
-                    let use_mask = offered == Some(t);
-                    let all_served = (0..self.outputs.len()).all(|o| {
-                        (use_mask && !routed(o))
-                            || self.done[o].get(t)
-                            || ctx.ready(self.outputs[o], t)
-                    });
-                    ctx.set_ready(self.inp, t, all_served);
+                    ctx.set_valid_mask(out, &self.word);
+                    // Input consumed once every (routed) output is done
+                    // or accepting. The mask belongs to the *offered*
+                    // token; for any other thread the data bus does not
+                    // hold its token, so answer conservatively as if it
+                    // routed to every output — a conservative ready can
+                    // only be upgraded once the thread is offered, which
+                    // keeps the upstream selection from chasing a false
+                    // ready.
+                    self.word.copy_from(&self.done[o]);
+                    self.word.or_with(ctx.ready_mask(out));
+                    if let (false, Some(t)) = (routed, offered) {
+                        self.word.set(t, true);
+                    }
+                    self.ready_word.and_with(&self.word);
                 }
             }
         }
+        ctx.set_ready_mask(self.inp, &self.ready_word);
         for &out in &self.outputs {
             ctx.set_data(out, data.clone());
         }
@@ -250,18 +259,20 @@ impl<T: Token> Component<T> for Fork<T> {
         if self.mode == ForkMode::Lazy {
             return;
         }
-        for t in 0..self.threads {
-            if ctx.fired(self.inp, t) {
-                // Token fully delivered: clear this thread's done bits.
-                for d in &mut self.done {
-                    d.set(t, false);
-                }
-            } else if ctx.valid(self.inp, t) {
-                // Partial delivery: latch which outputs took it.
-                for (o, &out) in self.outputs.iter().enumerate() {
-                    if ctx.fired(out, t) {
-                        self.done[o].set(t, true);
-                    }
+        // The input carries at most one valid thread: the offered one.
+        let Some(t) = ctx.valid_mask(self.inp).first_one() else {
+            return;
+        };
+        if ctx.ready(self.inp, t) {
+            // Token fully delivered: clear this thread's done bits.
+            for d in &mut self.done {
+                d.set(t, false);
+            }
+        } else {
+            // Partial delivery: latch which outputs took it.
+            for (o, &out) in self.outputs.iter().enumerate() {
+                if ctx.fired(out, t) {
+                    self.done[o].set(t, true);
                 }
             }
         }

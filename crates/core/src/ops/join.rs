@@ -9,7 +9,7 @@
 
 use elastic_sim::{
     impl_as_any, ChannelId, CombPath, Component, EvalCtx, NetlistNodeKind, NextEvent, Ports,
-    TickCtx, Token,
+    ThreadMask, TickCtx, Token,
 };
 
 /// An N-input join with a combine function.
@@ -51,7 +51,10 @@ pub struct Join<T: Token> {
     name: String,
     inputs: Vec<ChannelId>,
     out: ChannelId,
-    threads: usize,
+    /// Scratch word `∧ valid(in_i)`, committed as `valid(out)`.
+    all_valid: ThreadMask,
+    /// Scratch word for the per-input ready commits.
+    word: ThreadMask,
     combine: CombineFn<T>,
 }
 
@@ -77,7 +80,8 @@ impl<T: Token> Join<T> {
             name: name.into(),
             inputs,
             out,
-            threads,
+            all_valid: ThreadMask::new(threads),
+            word: ThreadMask::new(threads),
             combine: Box::new(f),
         }
     }
@@ -123,26 +127,29 @@ impl<T: Token> Component<T> for Join<T> {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            let all_valid = self.inputs.iter().all(|&ch| ctx.valid(ch, t));
-            ctx.set_valid(self.out, t, all_valid);
-            for (i, &ch) in self.inputs.iter().enumerate() {
-                let others_valid = self
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .all(|(_, &o)| ctx.valid(o, t));
-                ctx.set_ready(ch, t, ctx.ready(self.out, t) && others_valid);
+        self.all_valid.copy_from(ctx.valid_mask(self.inputs[0]));
+        for &ch in &self.inputs[1..] {
+            self.all_valid.and_with(ctx.valid_mask(ch));
+        }
+        ctx.set_valid_mask(self.out, &self.all_valid);
+        // ready(in_i) = ready(out) ∧ every other input's valid.
+        for (i, &ch) in self.inputs.iter().enumerate() {
+            self.word.copy_from(ctx.ready_mask(self.out));
+            for (j, &other) in self.inputs.iter().enumerate() {
+                if j != i {
+                    self.word.and_with(ctx.valid_mask(other));
+                }
             }
+            ctx.set_ready_mask(ch, &self.word);
         }
         // Data: combine when every input carries a token for one common
         // thread; otherwise leave the bus idle.
-        let joined = (0..self.threads).find(|&t| self.inputs.iter().all(|&ch| ctx.valid(ch, t)));
-        let data = joined.and_then(|_| {
+        let data = if self.all_valid.any() {
             let items: Option<Vec<&T>> = self.inputs.iter().map(|&ch| ctx.data(ch)).collect();
             items.map(|refs| (self.combine)(&refs))
-        });
+        } else {
+            None
+        };
         ctx.set_data(self.out, data);
     }
 

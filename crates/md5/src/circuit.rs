@@ -520,13 +520,14 @@ impl Md5Hasher {
     /// * [`Md5Error::Timeout`] if the run exceeds its internal cycle
     ///   budget (would indicate a bug — the budget is generous).
     pub fn hash_messages(&self, messages: &[&[u8]]) -> Result<(Vec<[u8; 16]>, u64), Md5Error> {
-        self.hash_messages_instrumented(messages)
-            .map(|(d, c, _)| (d, c))
+        self.hash(messages, false).map(|(d, c, _)| (d, c))
     }
 
     /// Like [`hash_messages`](Self::hash_messages) but additionally
     /// returns the simulation kernel's counters for the run — the
-    /// instrumentation behind the `kernel_ablation` comparison.
+    /// instrumentation behind the `kernel_ablation` comparison. Settle
+    /// timing is armed, so [`KernelStats::settle_nanos`] splits the
+    /// run's settle phase from its harness driving.
     ///
     /// # Errors
     ///
@@ -534,6 +535,17 @@ impl Md5Hasher {
     pub fn hash_messages_instrumented(
         &self,
         messages: &[&[u8]],
+    ) -> Result<(Vec<[u8; 16]>, u64, KernelStats), Md5Error> {
+        self.hash(messages, true)
+    }
+
+    /// The hashing loop behind both entry points. `time_settle` arms
+    /// [`Circuit::set_settle_timing`]; the plain path leaves it off, since
+    /// two clock reads per cycle would show in its end-to-end time.
+    fn hash(
+        &self,
+        messages: &[&[u8]],
+        time_settle: bool,
     ) -> Result<(Vec<[u8; 16]>, u64, KernelStats), Md5Error> {
         if messages.is_empty() {
             return Ok((Vec::new(), 0, KernelStats::default()));
@@ -556,6 +568,7 @@ impl Md5Hasher {
             self.backend,
         );
         md5.circuit.set_eval_mode(self.eval_mode);
+        md5.circuit.set_settle_timing(time_settle);
         md5.circuit
             .set_deadlock_watchdog(Some(200 + 20 * self.threads as u64));
 
@@ -573,42 +586,44 @@ impl Md5Hasher {
         }
 
         let max_cycles = 4_000 + (waves as u64) * (self.threads as u64 + 20) * 8;
+        let mut consumed = 0;
         while remaining > 0 {
             if md5.circuit.cycle() >= max_cycles {
                 return Err(Md5Error::Timeout { max_cycles });
             }
-            md5.circuit.step()?;
+            // `run(1)` is `step()` without the per-cycle transfer record:
+            // its quiescence fast-forward stops at the end of the
+            // one-cycle window, which the stepped cycle already reaches,
+            // so it never skips a cycle.
+            md5.circuit.run(1)?;
 
-            // Collect completions observed this cycle.
-            let mut completions: Vec<Md5Token> = Vec::new();
-            {
-                let sink: &Sink<Md5Token> = md5.circuit.get("out").expect("sink exists");
-                for t in 0..participants {
-                    let captured = sink.captured(t);
-                    for (_, tok) in &captured[seen[t]..] {
-                        completions.push(tok.clone());
-                    }
-                    seen[t] = captured.len();
-                }
+            // Collect completions observed this cycle — only when the
+            // sink consumed something, reading each token in place.
+            let sink: &Sink<Md5Token> = md5.circuit.get("out").expect("sink exists");
+            if sink.consumed_total() == consumed {
+                continue;
             }
-            for tok in completions {
-                remaining -= 1;
-                let t = tok.thread;
-                if !tok.phantom {
-                    debug_assert_eq!(tok.steps_done, 64);
-                    chain[t] = [
-                        tok.chain[0].wrapping_add(tok.work[0]),
-                        tok.chain[1].wrapping_add(tok.work[1]),
-                        tok.chain[2].wrapping_add(tok.work[2]),
-                        tok.chain[3].wrapping_add(tok.work[3]),
-                    ];
-                }
-                let next_wave = tok.wave + 1;
-                if next_wave < waves {
-                    let token = make_token(t, next_wave, &blocks[t], chain[t]);
-                    let feeder: &mut Source<Md5Token> =
-                        md5.circuit.get_mut("feeder").expect("feeder exists");
-                    feeder.push(t, token);
+            consumed = sink.consumed_total();
+            for (t, seen) in seen.iter_mut().enumerate() {
+                loop {
+                    let sink: &Sink<Md5Token> = md5.circuit.get("out").expect("sink exists");
+                    let Some((_, tok)) = sink.captured(t).get(*seen) else {
+                        break;
+                    };
+                    *seen += 1;
+                    remaining -= 1;
+                    let (thread, next_wave) = (tok.thread, tok.wave + 1);
+                    if !tok.phantom {
+                        debug_assert_eq!(tok.steps_done, 64);
+                        chain[thread] =
+                            std::array::from_fn(|i| tok.chain[i].wrapping_add(tok.work[i]));
+                    }
+                    if next_wave < waves {
+                        let token = make_token(thread, next_wave, &blocks[thread], chain[thread]);
+                        let feeder: &mut Source<Md5Token> =
+                            md5.circuit.get_mut("feeder").expect("feeder exists");
+                        feeder.push(thread, token);
+                    }
                 }
             }
         }

@@ -104,7 +104,8 @@ pub struct Fetcher {
     imem: Arc<Vec<u32>>,
     arbiter: RoundRobin,
     select: SelectState,
-    /// Scratch request mask rebuilt each eval (which threads can fetch).
+    /// Request mask: the threads that can fetch ([`Fetcher::runnable`]),
+    /// refreshed per touched thread at the clock edge.
     has: ThreadMask,
     fetched: Vec<u64>,
     /// Predict-not-taken speculation for conditional branches; direct
@@ -131,7 +132,7 @@ impl Fetcher {
         entry_pcs: Vec<u32>,
     ) -> Self {
         assert_eq!(entry_pcs.len(), threads, "one entry PC per thread");
-        Self {
+        let mut fetcher = Self {
             name: name.into(),
             out,
             redirect,
@@ -146,7 +147,11 @@ impl Fetcher {
             speculate: false,
             spec: None,
             squashed: vec![0; threads],
+        };
+        for t in 0..threads {
+            fetcher.refresh(t);
         }
+        fetcher
     }
 
     /// Enables predict-not-taken speculation with the shared squash state
@@ -190,6 +195,12 @@ impl Fetcher {
     fn runnable(&self, t: usize) -> bool {
         self.status[t] == ThreadStatus::Running && (self.pcs[t] as usize) < self.imem.len()
     }
+
+    /// Re-derives thread `t`'s request bit after its PC or status moved.
+    fn refresh(&mut self, t: usize) {
+        let runnable = self.runnable(t);
+        self.has.set(t, runnable);
+    }
 }
 
 impl Component<ProcToken> for Fetcher {
@@ -217,13 +228,7 @@ impl Component<ProcToken> for Fetcher {
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
         // Redirects are always absorbed.
-        for t in 0..self.threads {
-            ctx.set_ready(self.redirect, t, true);
-        }
-        for t in 0..self.threads {
-            let runnable = self.runnable(t);
-            self.has.set(t, runnable);
-        }
+        ctx.drive_ready_all(self.redirect);
         match self.select.select(ctx, self.out, &self.arbiter, &self.has) {
             Some(t) => {
                 let pc = self.pcs[t];
@@ -267,6 +272,7 @@ impl Component<ProcToken> for Fetcher {
                 i if i.is_control_flow() => self.status[t] = ThreadStatus::WaitControl,
                 _ => self.pcs[t] += 1,
             }
+            self.refresh(t);
             self.arbiter.commit(t);
         }
         // A control-flow instruction resolved.
@@ -327,6 +333,7 @@ impl Component<ProcToken> for Fetcher {
                     }
                 }
             }
+            self.refresh(t);
         }
         self.select.on_tick(ctx, self.out);
     }
@@ -354,10 +361,15 @@ pub struct RegUnit {
     id_in: ChannelId,
     wb_in: ChannelId,
     id_out: ChannelId,
-    threads: usize,
     regs: Vec<[u32; NUM_REGS]>,
     /// In-flight writers per (thread, register).
     pending: Vec<[u8; NUM_REGS]>,
+    /// Threads with no in-flight register write at all (every `pending`
+    /// entry zero) — the conservative issue gate of unoffered threads,
+    /// refreshed per touched thread at the clock edge.
+    clean: ThreadMask,
+    /// Scratch word for the `ready(id_in)` commit.
+    gate: ThreadMask,
     retired: Vec<u64>,
     /// Squash state (absent when not speculating): wrong-path writebacks
     /// release their scoreboard entry but leave the register file alone.
@@ -373,14 +385,17 @@ impl RegUnit {
         id_out: ChannelId,
         threads: usize,
     ) -> Self {
+        let mut clean = ThreadMask::new(threads);
+        clean.fill();
         Self {
             name: name.into(),
             id_in,
             wb_in,
             id_out,
-            threads,
             regs: vec![[0; NUM_REGS]; threads],
             pending: vec![[0; NUM_REGS]; threads],
+            clean,
+            gate: ThreadMask::new(threads),
             retired: vec![0; threads],
             spec: None,
         }
@@ -505,9 +520,7 @@ impl Component<ProcToken> for RegUnit {
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
         // Writeback never stalls.
-        for t in 0..self.threads {
-            ctx.set_ready(self.wb_in, t, true);
-        }
+        ctx.drive_ready_all(self.wb_in);
         // Issue: pass the offered instruction through decode if it is
         // hazard-free and the next stage accepts. Only the offered thread's
         // instruction word is visible on the channel, so its gate is the
@@ -519,18 +532,16 @@ impl Component<ProcToken> for RegUnit {
         // MEB's selection never chases a false ready and the settle loop
         // converges.
         let offered = ctx.incoming(self.id_in).map(|(t, tok)| (t, tok.clone()));
-        for t in 0..self.threads {
-            let gate = match &offered {
-                Some((ot, ProcToken::Fetched { pc, word, .. })) if *ot == t => {
-                    let instr = Instr::decode(*word).unwrap_or_else(|e| {
-                        panic!("thread {t} offered invalid instruction at pc {pc}: {e}")
-                    });
-                    !self.hazard(t, &instr)
-                }
-                _ => self.pending[t].iter().all(|&p| p == 0),
-            };
-            ctx.set_ready(self.id_in, t, gate && ctx.ready(self.id_out, t));
+        self.gate.copy_from(&self.clean);
+        if let Some((t, ProcToken::Fetched { pc, word, .. })) = &offered {
+            let instr = Instr::decode(*word).unwrap_or_else(|e| {
+                panic!("thread {t} offered invalid instruction at pc {pc}: {e}")
+            });
+            let free = !self.hazard(*t, &instr);
+            self.gate.set(*t, free);
         }
+        self.gate.and_with(ctx.ready_mask(self.id_out));
+        ctx.set_ready_mask(self.id_in, &self.gate);
         // Drive the decoded token downstream.
         match &offered {
             Some((
@@ -580,6 +591,8 @@ impl Component<ProcToken> for RegUnit {
                     let p = &mut self.pending[t][rd as usize];
                     debug_assert!(*p > 0, "writeback without a pending issue");
                     *p -= 1;
+                    let clean = self.pending[t].iter().all(|&p| p == 0);
+                    self.clean.set(t, clean);
                 }
             }
             if !stale {
@@ -594,6 +607,7 @@ impl Component<ProcToken> for RegUnit {
             if let Some(rd) = instr.dest() {
                 if rd != 0 {
                     self.pending[t][rd as usize] += 1;
+                    self.clean.set(t, false);
                 }
             }
         }
@@ -691,7 +705,6 @@ pub struct MemUnit {
     name: String,
     inp: ChannelId,
     out: ChannelId,
-    threads: usize,
     capacity: usize,
     lat_min: u32,
     lat_max: u32,
@@ -703,6 +716,8 @@ pub struct MemUnit {
     /// Scratch request mask rebuilt each eval (threads with a completed
     /// head entry).
     has: ThreadMask,
+    /// Threads already met while rebuilding `has` (scratch).
+    seen: ThreadMask,
     /// Squash state (absent when not speculating): wrong-path loads and
     /// stores must not touch memory.
     spec: Option<Arc<SpecState>>,
@@ -731,7 +746,6 @@ impl MemUnit {
             name: name.into(),
             inp,
             out,
-            threads,
             capacity,
             lat_min,
             lat_max,
@@ -741,6 +755,7 @@ impl MemUnit {
             arbiter: RoundRobin::new(),
             select: SelectState::new(),
             has: ThreadMask::new(threads),
+            seen: ThreadMask::new(threads),
             spec: None,
         }
     }
@@ -770,11 +785,10 @@ impl MemUnit {
 
     /// Rebuilds `has` with the oldest completed entry per thread.
     fn rebuild_heads(&mut self, cycle: u64) {
-        let mut seen = ThreadMask::new(self.threads);
+        self.seen.clear();
         self.has.clear();
         for (t, _, done) in &self.entries {
-            if !seen.get(*t) {
-                seen.set(*t, true);
+            if self.seen.set(*t, true) {
                 self.has.set(*t, *done <= cycle);
             }
         }
@@ -811,9 +825,11 @@ impl Component<ProcToken> for MemUnit {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, ProcToken>) {
-        let free = self.entries.len() < self.capacity;
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, free);
+        // Upstream ready: any free slot, shared by all threads.
+        if self.entries.len() < self.capacity {
+            ctx.drive_ready_all(self.inp);
+        } else {
+            ctx.drive_unready(self.inp);
         }
         self.rebuild_heads(ctx.cycle());
         match self.select.select(ctx, self.out, &self.arbiter, &self.has) {

@@ -322,6 +322,16 @@ impl<'a, T: Token> EvalCtx<'a, T> {
             self.wake_driver(ch.0);
         }
     }
+
+    /// Convenience: drives every `ready` bit of an input channel high (a
+    /// consumer that never stalls, or a shared free slot every thread may
+    /// claim). Word-level: one fill per mask word.
+    pub fn drive_ready_all(&mut self, ch: ChannelId) {
+        self.assert_reads(ch);
+        if self.channels[ch.0].ready.fill() {
+            self.wake_driver(ch.0);
+        }
+    }
 }
 
 /// Clock-edge view of the circuit handed to

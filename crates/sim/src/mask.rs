@@ -308,20 +308,26 @@ impl ThreadMask {
     }
 
     /// Sets every thread's bit in one word-level pass (bits at or above
-    /// [`threads`](ThreadMask::threads) stay zero).
-    pub fn fill(&mut self) {
-        self.head = self.tail_mask(0);
+    /// [`threads`](ThreadMask::threads) stay zero); returns `true` iff
+    /// any bit was clear.
+    pub fn fill(&mut self) -> bool {
+        let head = self.tail_mask(0);
+        let mut changed = self.head != head;
+        self.head = head;
         if let Some(r) = self.rest.as_mut() {
             let threads = self.threads;
             for (i, w) in r.iter_mut().enumerate() {
                 let used = threads - (i + 1) * 64;
-                *w = if used >= 64 {
+                let full = if used >= 64 {
                     !0u64
                 } else {
                     (1u64 << used) - 1
                 };
+                changed |= *w != full;
+                *w = full;
             }
         }
+        changed
     }
 
     /// Assigns the complement of `other` to `self` in one word-level
@@ -393,6 +399,37 @@ impl ThreadMask {
         if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
             for (d, s) in dst.iter_mut().zip(src.iter()) {
                 *d &= *s;
+            }
+        }
+    }
+
+    /// Unions `other` into `self` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the masks have different thread counts.
+    pub fn or_with(&mut self, other: &Self) {
+        assert_eq!(self.threads, other.threads, "mask width mismatch");
+        self.head |= other.head;
+        if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d |= *s;
+            }
+        }
+    }
+
+    /// Clears in `self` every bit set in `other` (`self &= !other`) in
+    /// place; bits at or above the thread count stay zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the masks have different thread counts.
+    pub fn and_not_with(&mut self, other: &Self) {
+        assert_eq!(self.threads, other.threads, "mask width mismatch");
+        self.head &= !other.head;
+        if let (Some(dst), Some(src)) = (self.rest.as_mut(), other.rest.as_ref()) {
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d &= !*s;
             }
         }
     }
@@ -623,6 +660,18 @@ mod tests {
                 bits.iter().zip(&other_bits).map(|(&a, &b)| a && b).collect();
             prop_assert_eq!(&anded, &ThreadMask::from_bools(&ref_and));
 
+            // Union and difference against the same shifted copy.
+            let mut ored = m.clone();
+            ored.or_with(&other);
+            let ref_or: Vec<bool> =
+                bits.iter().zip(&other_bits).map(|(&a, &b)| a || b).collect();
+            prop_assert_eq!(&ored, &ThreadMask::from_bools(&ref_or));
+            let mut diff = m.clone();
+            diff.and_not_with(&other);
+            let ref_diff: Vec<bool> =
+                bits.iter().zip(&other_bits).map(|(&a, &b)| a && !b).collect();
+            prop_assert_eq!(&diff, &ThreadMask::from_bools(&ref_diff));
+
             // The fused rotate-over-intersection scan agrees with
             // materialising the intersection first.
             prop_assert_eq!(
@@ -632,8 +681,9 @@ mod tests {
 
             // Word-level fill and complement respect the tail clamp.
             let mut full = m.clone();
-            full.fill();
+            prop_assert_eq!(full.fill(), bits.iter().any(|&b| !b));
             prop_assert_eq!(&full, &ThreadMask::from_bools(&vec![true; s]));
+            prop_assert!(!full.fill(), "refilling a full mask changes nothing");
             prop_assert_eq!(full.count_ones(), s);
             let mut inv = ThreadMask::new(s);
             inv.assign_not(&m);

@@ -302,25 +302,25 @@ impl<T: Token> Component<T> for Source<T> {
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
-        for t in 0..self.threads {
-            if ctx.fired(self.out, t) {
-                if let Some((rel, _)) = self.queues[t].pop_front() {
-                    if rel > 0 {
-                        self.timed -= 1;
-                    }
+        // The channel carries at most one valid thread: the offered one.
+        let Some(t) = ctx.valid_mask(self.out).first_one() else {
+            return;
+        };
+        if ctx.ready(self.out, t) {
+            if let Some((rel, _)) = self.queues[t].pop_front() {
+                if rel > 0 {
+                    self.timed -= 1;
                 }
-                if self.queues[t].is_empty() {
-                    self.fused_nonempty.set(t, false);
-                }
-                self.injected[t] += 1;
-                self.rr = (t + 1) % self.threads;
-            } else if ctx.valid(self.out, t) {
-                // Stalled offer: rotate so every waiting thread is
-                // eventually presented downstream (a closed barrier must
-                // be able to observe all arrivals).
-                self.rr = (t + 1) % self.threads;
             }
+            if self.queues[t].is_empty() {
+                self.fused_nonempty.set(t, false);
+            }
+            self.injected[t] += 1;
         }
+        // Rotate past the offered thread whether it fired or stalled, so
+        // every waiting thread is eventually presented downstream (a
+        // closed barrier must be able to observe all arrivals).
+        self.rr = (t + 1) % self.threads;
     }
 
     fn reset(&mut self) -> bool {

@@ -106,6 +106,11 @@ pub struct VarLatency<T: Token> {
     /// First-eval-of-cycle detection for the anti-swap guard (see
     /// `choose`).
     last_eval_cycle: Option<u64>,
+    /// Threads whose oldest in-flight entry is complete, rebuilt in place
+    /// by [`scan_heads`](Self::scan_heads) every eval.
+    heads: ThreadMask,
+    /// Threads already met during that scan (scratch).
+    seen: ThreadMask,
 }
 
 impl<T: Token> VarLatency<T> {
@@ -139,6 +144,8 @@ impl<T: Token> VarLatency<T> {
             rng: StdRng::seed_from_u64(seed ^ 0xE1A5),
             rr: 0,
             last_eval_cycle: None,
+            heads: ThreadMask::new(threads),
+            seen: ThreadMask::new(threads),
         }
     }
 
@@ -155,69 +162,52 @@ impl<T: Token> VarLatency<T> {
         self.entries.len()
     }
 
-    /// The oldest entry of each thread that is complete at `cycle`.
-    fn completed_heads(&self, cycle: u64) -> Vec<(usize, usize)> {
-        // (thread, entry index); entries is globally FIFO so the first
-        // entry found per thread is that thread's oldest.
-        let mut seen = ThreadMask::new(self.threads);
-        let mut out = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            if !seen.get(e.thread) {
-                seen.set(e.thread, true);
-                if e.done_at <= cycle {
-                    out.push((e.thread, i));
-                }
+    /// Rebuilds [`heads`](Self::heads): the threads whose oldest
+    /// in-flight entry is complete at `cycle`. `entries` is globally FIFO,
+    /// so the first entry met per thread is that thread's oldest.
+    fn scan_heads(&mut self, cycle: u64) {
+        self.seen.clear();
+        self.heads.clear();
+        for e in &self.entries {
+            if self.seen.set(e.thread, true) && e.done_at <= cycle {
+                self.heads.set(e.thread, true);
             }
         }
-        out
     }
 
-    /// Chooses the `(thread, entry index)` to offer. Mirrors the MEB
-    /// selection discipline (ready-first, anti-swap guard between settle
-    /// passes, rotating stalled offer) so that two variable-latency units
-    /// feeding a join cannot chase each other's offers — the same
-    /// convergence argument as `elastic-core`'s `select_output_thread`
-    /// (see `docs/kernel.md` §3).
-    fn choose(&self, ctx: &EvalCtx<'_, T>, fresh: bool) -> Option<(usize, usize)> {
-        let heads = self.completed_heads(ctx.cycle());
-        if heads.is_empty() {
-            return None;
-        }
-        let pick = |pred: &dyn Fn(usize) -> bool| {
-            (0..self.threads)
-                .map(|off| (self.rr + off) % self.threads)
-                .find_map(|t| heads.iter().find(|(ht, _)| *ht == t && pred(t)).copied())
+    /// Chooses the thread to offer among [`heads`](Self::heads). Mirrors
+    /// the MEB selection discipline (ready-first, anti-swap guard between
+    /// settle passes, rotating stalled offer) so that two
+    /// variable-latency units feeding a join cannot chase each other's
+    /// offers — the same convergence argument as `elastic-core`'s
+    /// `select_output_thread` (see `docs/kernel.md` §3). Every scan is a
+    /// word-level rotation over `heads ∩ ready(out)`.
+    fn choose(&self, ctx: &EvalCtx<'_, T>, fresh: bool) -> Option<usize> {
+        let ready = ctx.ready_mask(self.out);
+        let Some(ready_pick) = self.heads.next_one_wrapping_and(ready, self.rr) else {
+            return self.heads.next_one_wrapping(self.rr);
         };
-        if let Some(ready_pick) = pick(&|t| ctx.ready(self.out, t)) {
-            // The anti-swap guard only matters when downstream ready can
-            // change *between* settle passes, i.e. when `out` sits on a
-            // feedback cycle. On a DAG the rank schedule evaluates the
-            // consumer first, so the first pass already sees final ready
-            // and the pure ready-first pick keeps eval order-independent.
-            if !fresh && ctx.in_feedback(self.out) {
-                let current = ctx.valid_mask(self.out).first_one();
-                if let Some(c) = current {
-                    let c_head = heads.iter().find(|(ht, _)| *ht == c).copied();
-                    if let Some(ch) = c_head {
-                        if !ctx.ready(self.out, c) {
-                            let rank = |t: usize| {
-                                (t + self.threads - (ctx.cycle() as usize % self.threads))
-                                    % self.threads
-                            };
-                            let best = heads
-                                .iter()
-                                .filter(|&&(t, _)| ctx.ready(self.out, t))
-                                .min_by_key(|&&(t, _)| rank(t))
-                                .copied()
-                                .expect("ready pick exists");
-                            return Some(if rank(best.0) < rank(c) { best } else { ch });
-                        }
-                    }
+        // The anti-swap guard only matters when downstream ready can
+        // change *between* settle passes, i.e. when `out` sits on a
+        // feedback cycle. On a DAG the rank schedule evaluates the
+        // consumer first, so the first pass already sees final ready and
+        // the pure ready-first pick keeps eval order-independent.
+        if !fresh && ctx.in_feedback(self.out) {
+            if let Some(c) = ctx.valid_mask(self.out).first_one() {
+                if self.heads.get(c) && !ready.get(c) {
+                    // Yield the current offer only to a ready thread that
+                    // ranks earlier in the global rotating priority.
+                    let start = ctx.cycle() as usize % self.threads;
+                    let rank = |t: usize| (t + self.threads - start) % self.threads;
+                    let best = self
+                        .heads
+                        .next_one_wrapping_and(ready, start)
+                        .expect("ready pick exists");
+                    return Some(if rank(best) < rank(c) { best } else { c });
                 }
             }
-            return Some(ready_pick);
         }
-        pick(&|_| true)
+        Some(ready_pick)
     }
 }
 
@@ -248,15 +238,22 @@ impl<T: Token> Component<T> for VarLatency<T> {
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
         // Upstream ready: any free slot, shared by all threads.
-        let free = self.entries.len() < self.capacity;
-        for t in 0..self.threads {
-            ctx.set_ready(self.inp, t, free);
+        if self.entries.len() < self.capacity {
+            ctx.drive_ready_all(self.inp);
+        } else {
+            ctx.drive_unready(self.inp);
         }
         // Downstream valid: the chosen completed head.
         let fresh = self.last_eval_cycle != Some(ctx.cycle());
         self.last_eval_cycle = Some(ctx.cycle());
+        self.scan_heads(ctx.cycle());
         match self.choose(ctx, fresh) {
-            Some((t, idx)) => {
+            Some(t) => {
+                let idx = self
+                    .entries
+                    .iter()
+                    .position(|e| e.thread == t)
+                    .expect("chosen thread has a head entry");
                 let token = &self.entries[idx].token;
                 let data = match &self.transform {
                     Some(f) => f(token),
@@ -346,7 +343,9 @@ pub struct Transform<T: Token> {
     name: String,
     inp: ChannelId,
     out: ChannelId,
-    threads: usize,
+    /// Scratch word: each handshake mask is copied across in one
+    /// word-level commit.
+    word: ThreadMask,
     f: Box<dyn Fn(&T) -> T + Send>,
 }
 
@@ -363,7 +362,7 @@ impl<T: Token> Transform<T> {
             name: name.into(),
             inp,
             out,
-            threads,
+            word: ThreadMask::new(threads),
             f: Box::new(f),
         }
     }
@@ -398,12 +397,10 @@ impl<T: Token> Component<T> for Transform<T> {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_, T>) {
-        for t in 0..self.threads {
-            let v = ctx.valid(self.inp, t);
-            ctx.set_valid(self.out, t, v);
-            let r = ctx.ready(self.out, t);
-            ctx.set_ready(self.inp, t, r);
-        }
+        self.word.copy_from(ctx.valid_mask(self.inp));
+        ctx.set_valid_mask(self.out, &self.word);
+        self.word.copy_from(ctx.ready_mask(self.out));
+        ctx.set_ready_mask(self.inp, &self.word);
         let data = ctx.data(self.inp).map(|d| (self.f)(d));
         ctx.set_data(self.out, data);
     }
@@ -469,8 +466,8 @@ mod tests {
             done_at: 0,
         });
         // Thread 0's head is not done; its second (done) entry must wait.
-        let heads = v.completed_heads(5);
-        assert_eq!(heads, vec![(1, 2)]);
+        v.scan_heads(5);
+        assert_eq!(v.heads.iter_ones().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! `elastic-sim`. The lowering that produces the table lives in
 //! [`crate::compile`].
 //!
-//! Three ops override their interpreted `eval` with a word-level
-//! specialisation (observable behaviour is identical, see
+//! Three ops run a fused-only `eval_fused` that commits whole handshake
+//! words and caches them across the settle rounds of a cycle; their
+//! interpreted `eval` keeps a per-thread loop as the reference the
+//! fused path is checked against (observable behaviour is identical, see
 //! `docs/kernel.md`):
 //!
 //! * [`Sink::eval_fused`] caches the per-thread ready-policy word once
@@ -22,11 +24,12 @@
 //! * [`Source::eval_fused`] caches the released-head word per cycle and
 //!   picks the offered thread with a word-level wrapping scan.
 //!
-//! Everything else dispatches statically to the very same
-//! `Component::eval` the interpreted kernel runs — the fused backend
-//! removes dispatch overhead, never semantics. Components the lowering
-//! does not recognise (custom user primitives, [`IrNodeKind::Custom`]
-//! nodes) stay boxed in [`FusedOp::Boxed`] and keep their vtable path.
+//! Every other op's `Component::eval` already commits whole words
+//! (`docs/perf.md` §1) and is dispatched statically to that same method,
+//! so for them the fused backend removes only the vtable call.
+//! Components the lowering does not recognise (custom user primitives,
+//! [`IrNodeKind::Custom`] nodes) stay boxed in [`FusedOp::Boxed`] and
+//! keep their vtable path.
 //!
 //! [`IrNodeKind::Custom`]: crate::IrNodeKind::Custom
 
@@ -122,8 +125,8 @@ impl<T: Token> FusedOp<T> {
         }
     }
 
-    /// Combinational evaluation with static dispatch; `Sink` and
-    /// `ReducedMeb` take their word-level fused paths, everything else
+    /// Combinational evaluation with static dispatch; `Source`, `Sink`
+    /// and `ReducedMeb` take their cached fused paths, everything else
     /// runs its ordinary `Component::eval`.
     #[inline]
     fn eval_op(&mut self, ctx: &mut EvalCtx<'_, T>) {

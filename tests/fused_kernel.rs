@@ -14,15 +14,16 @@
 //! 2. **Kernel soundness under fusion** — the fused event-driven kernel
 //!    matches the fused exhaustive oracle, mirroring the interpreted
 //!    kernel's own soundness bar in `ranked_schedule.rs`.
-//! 3. **Word-boundary widths** — a deterministic S = 65 pipeline (masks
-//!    spill past the inline word) agrees across backends and modes, and
-//!    the two backends perform identical evaluation counts.
+//! 3. **Word-boundary widths** — a deterministic S = 65 pipeline and an
+//!    S = 65 MD5-shaped ring (masks spill past the inline word) agree
+//!    across backends and modes, and the two backends perform identical
+//!    evaluation counts.
 
 mod common;
 
-use common::{meb_kind_strategy, run_net, NetParams};
+use common::{meb_kind_strategy, run_net, shape_strategy, try_run_net, NetParams, Shape};
 use mt_elastic::core::MebKind;
-use mt_elastic::sim::{EvalMode, KernelBackend};
+use mt_elastic::sim::{EvalMode, KernelBackend, SimError};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,13 +36,13 @@ proptest! {
         threads in 1usize..4,
         tokens in 1u64..12,
         kind in meb_kind_strategy(),
-        diamond in any::<bool>(),
+        shape in shape_strategy(),
         tail_stages in 0usize..3,
         p_ready in 0.3f64..1.0,
         seed in any::<u64>(),
         order_seed in any::<u64>(),
     ) {
-        let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
+        let p = NetParams { threads, tokens, kind, shape, tail_stages, p_ready, seed };
 
         // Bar 1: the fused backend is invisible — same rank schedule,
         // same mode, different dispatch.
@@ -61,10 +62,10 @@ proptest! {
         );
 
         // Builder insertion order must not leak through the lowering on
-        // signal-acyclic nets (on the diamond the damped feedback makes
-        // the fixed point legitimately order-sensitive, exactly as in
-        // `ranked_schedule.rs`).
-        if !diamond {
+        // signal-acyclic nets (on the diamond and the ring the damped
+        // feedback makes the fixed point legitimately order-sensitive,
+        // exactly as in `ranked_schedule.rs`).
+        if !shape.has_feedback() {
             let b = run_net(
                 &p, KernelBackend::Fused, EvalMode::EventDriven, order_seed ^ 0xDEAD_BEEF,
             );
@@ -83,7 +84,7 @@ fn fused_backend_matches_interpreted_at_the_word_boundary() {
         threads: 65,
         tokens: 3,
         kind: MebKind::Reduced,
-        diamond: false,
+        shape: Shape::Chain,
         tail_stages: 2,
         p_ready: 0.55,
         seed: 0x65,
@@ -105,4 +106,62 @@ fn fused_backend_matches_interpreted_at_the_word_boundary() {
         fused.0, oracle.0,
         "S=65 fused kernel diverged from its oracle"
     );
+}
+
+/// The S = 65 word-boundary case on the MD5-shaped ring: the word-level
+/// Merge, Transform, Barrier and Branch commits and the barrier's
+/// registered gate all span two mask words. Checked across backends and
+/// modes.
+#[test]
+fn fused_backend_matches_interpreted_on_the_s65_ring() {
+    let p = s65_ring(false);
+    let interp = run_net(
+        &p,
+        KernelBackend::Interpreted,
+        EvalMode::EventDriven,
+        0x5eed,
+    );
+    let fused = run_net(&p, KernelBackend::Fused, EvalMode::EventDriven, 0x5eed);
+    let oracle = run_net(&p, KernelBackend::Fused, EvalMode::Exhaustive, 0x5eed);
+    assert_eq!(
+        interp.0, fused.0,
+        "S=65 ring captures diverged across backends"
+    );
+    assert_eq!(interp.1, fused.1, "S=65 ring evaluation count diverged");
+    assert_eq!(
+        fused.0, oracle.0,
+        "S=65 ring kernel diverged from its oracle"
+    );
+}
+
+/// Known defect, pinned so that a fix has to update this test: once
+/// non-participating tokens loop through a masked barrier (S ≥ 8), a
+/// participant leaving the ring and a non-participant looping back make
+/// the output MEB's selection alternate every settle round — the
+/// stalled offer moves against the rotating priority that the anti-swap
+/// guard then restores — and the cycle never settles. Both backends
+/// report the same typed error.
+#[test]
+fn masked_s65_ring_does_not_settle_yet() {
+    let p = s65_ring(true);
+    for backend in [KernelBackend::Interpreted, KernelBackend::Fused] {
+        let err = try_run_net(&p, backend, EvalMode::EventDriven, 0x5eed)
+            .expect_err("the masked ring oscillates");
+        assert!(
+            matches!(err, SimError::CombinationalLoop { .. }),
+            "{backend:?}: {err}"
+        );
+    }
+}
+
+fn s65_ring(masked: bool) -> NetParams {
+    NetParams {
+        threads: 65,
+        tokens: 2,
+        kind: MebKind::Reduced,
+        shape: Shape::Ring { masked },
+        tail_stages: 1,
+        p_ready: 0.55,
+        seed: 0x65,
+    }
 }

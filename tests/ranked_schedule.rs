@@ -9,19 +9,20 @@
 //!    eval is a pure function of the handshake state, the cycle's fixed
 //!    point is unique, and the captures are identical across builder
 //!    insertion orders (the purity argument of `docs/kernel.md`).
-//!    The fork/join diamond is deliberately *excluded* from this bar:
-//!    the Join's valid→ready coupling closes a (damped) signal cycle
-//!    through the two variable-latency arms, and on feedback channels
-//!    the anti-swap hysteresis legitimately picks an order-dependent —
-//!    but individually valid — fixed point. There the weaker guarantee
-//!    is token conservation per thread.
+//!    The fork/join diamond and the MD5-shaped ring are deliberately
+//!    *excluded* from this bar: the Join's valid→ready coupling closes a
+//!    (damped) signal cycle through the two variable-latency arms, the
+//!    ring closes one through its loopback merge, and on feedback
+//!    channels the anti-swap hysteresis legitimately picks an
+//!    order-dependent — but individually valid — fixed point. There the
+//!    weaker guarantee is token conservation per thread.
 //!
 //! A deterministic S = 8 pipeline test then pins the rank schedule's
 //! one-round settle and the backends' identical work.
 
 mod common;
 
-use common::{meb_kind_strategy, run_net, NetParams};
+use common::{meb_kind_strategy, run_net, shape_strategy, NetParams};
 use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
 use mt_elastic::sim::{EvalMode, KernelBackend, KernelStats, ReadyPolicy, Tagged};
 use proptest::prelude::*;
@@ -36,13 +37,13 @@ proptest! {
         threads in 1usize..4,
         tokens in 1u64..12,
         kind in meb_kind_strategy(),
-        diamond in any::<bool>(),
+        shape in shape_strategy(),
         tail_stages in 0usize..3,
         p_ready in 0.3f64..1.0,
         seed in any::<u64>(),
         order_seed in any::<u64>(),
     ) {
-        let p = NetParams { threads, tokens, kind, diamond, tail_stages, p_ready, seed };
+        let p = NetParams { threads, tokens, kind, shape, tail_stages, p_ready, seed };
         let run = |mode, order_seed| run_net(&p, KernelBackend::Interpreted, mode, order_seed).0;
         let fast = run(EvalMode::EventDriven, order_seed);
 
@@ -53,7 +54,7 @@ proptest! {
             &fast, &oracle,
             "event-driven kernel diverged from the exhaustive oracle"
         );
-        if diamond {
+        if shape.has_feedback() {
             // Feedback (damped) signal cycle through the join: insertion
             // orders may settle on different — individually valid —
             // arbitration orders, but never lose or forge tokens.
