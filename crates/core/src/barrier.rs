@@ -261,10 +261,9 @@ impl<T: Token> Component<T> for Barrier<T> {
             }
         }
 
-        // IDLE → WAIT: a new (unconsumed) token reached the barrier. The
-        // channel carries at most one valid thread: the offered one.
-        if let Some(t) = ctx.valid_mask(self.inp).first_one() {
-            let arriving = !ctx.ready(self.inp, t)
+        // IDLE → WAIT: a new (unconsumed) token reached the barrier.
+        if let Some(t) = ctx.offered(self.inp) {
+            let arriving = !ctx.fired(self.inp, t)
                 && self.participant.get(t)
                 && self.thread_state(t) == BarrierState::Idle;
             if arriving {

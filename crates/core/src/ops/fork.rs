@@ -259,11 +259,10 @@ impl<T: Token> Component<T> for Fork<T> {
         if self.mode == ForkMode::Lazy {
             return;
         }
-        // The input carries at most one valid thread: the offered one.
-        let Some(t) = ctx.valid_mask(self.inp).first_one() else {
+        let Some(t) = ctx.offered(self.inp) else {
             return;
         };
-        if ctx.ready(self.inp, t) {
+        if ctx.fired(self.inp, t) {
             // Token fully delivered: clear this thread's done bits.
             for d in &mut self.done {
                 d.set(t, false);

@@ -175,8 +175,7 @@ impl<T: Token> Component<T> for Merge<T> {
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         // Rotate on every offered cycle (fired or stalled) so that neither
         // input nor any thread can be starved while the output is blocked.
-        let offered = ctx.valid_mask(self.out).any();
-        if offered {
+        if ctx.offered(self.out).is_some() {
             self.prefer = (self.prefer + 1) % self.inputs.len();
         }
     }

@@ -182,10 +182,9 @@ impl SelectState {
 ///
 /// [`Barrier`]: crate::Barrier
 pub fn advance_stall_pointer<T: Token>(ctx: &TickCtx<'_, T>, out: ChannelId, stall: &mut usize) {
-    let threads = ctx.threads(out);
-    if let Some(t) = ctx.valid_mask(out).first_one() {
+    if let Some(t) = ctx.offered(out) {
         if !ctx.fired(out, t) {
-            *stall = (t + 1) % threads;
+            *stall = (t + 1) % ctx.threads(out);
         }
     }
 }
@@ -239,10 +238,8 @@ mod tests {
             }
         }
         fn tick(&mut self, ctx: &TickCtx<'_, u64>) {
-            for t in 0..self.has.threads() {
-                if ctx.fired(self.out, t) {
-                    self.arb.commit(t);
-                }
+            if let Some((t, _)) = ctx.fired_any(self.out) {
+                self.arb.commit(t);
             }
             self.select.on_tick(ctx, self.out);
         }

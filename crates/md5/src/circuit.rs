@@ -572,6 +572,10 @@ impl Md5Hasher {
         md5.circuit
             .set_deadlock_watchdog(Some(200 + 20 * self.threads as u64));
 
+        // The feeder and the sink are reached every cycle: resolve their
+        // indices once instead of scanning names per access.
+        let feeder_at = md5.circuit.index_of("feeder").expect("feeder exists");
+        let out_at = md5.circuit.index_of("out").expect("sink exists");
         let mut chain: Vec<[u32; 4]> = vec![MD5_IV; participants];
         let mut seen: Vec<usize> = vec![0; participants];
         let mut remaining = participants * waves;
@@ -579,7 +583,7 @@ impl Md5Hasher {
         // Wave 0: one token per participating thread.
         {
             let feeder: &mut Source<Md5Token> =
-                md5.circuit.get_mut("feeder").expect("feeder exists");
+                md5.circuit.get_at_mut(feeder_at).expect("feeder exists");
             for (t, thread_blocks) in blocks.iter().enumerate() {
                 feeder.push(t, make_token(t, 0, thread_blocks, chain[t]));
             }
@@ -591,22 +595,18 @@ impl Md5Hasher {
             if md5.circuit.cycle() >= max_cycles {
                 return Err(Md5Error::Timeout { max_cycles });
             }
-            // `run(1)` is `step()` without the per-cycle transfer record:
-            // its quiescence fast-forward stops at the end of the
-            // one-cycle window, which the stepped cycle already reaches,
-            // so it never skips a cycle.
-            md5.circuit.run(1)?;
+            md5.circuit.step_fired()?;
 
             // Collect completions observed this cycle — only when the
             // sink consumed something, reading each token in place.
-            let sink: &Sink<Md5Token> = md5.circuit.get("out").expect("sink exists");
+            let sink: &Sink<Md5Token> = md5.circuit.get_at(out_at).expect("sink exists");
             if sink.consumed_total() == consumed {
                 continue;
             }
             consumed = sink.consumed_total();
             for (t, seen) in seen.iter_mut().enumerate() {
                 loop {
-                    let sink: &Sink<Md5Token> = md5.circuit.get("out").expect("sink exists");
+                    let sink: &Sink<Md5Token> = md5.circuit.get_at(out_at).expect("sink exists");
                     let Some((_, tok)) = sink.captured(t).get(*seen) else {
                         break;
                     };
@@ -621,7 +621,7 @@ impl Md5Hasher {
                     if next_wave < waves {
                         let token = make_token(thread, next_wave, &blocks[thread], chain[thread]);
                         let feeder: &mut Source<Md5Token> =
-                            md5.circuit.get_mut("feeder").expect("feeder exists");
+                            md5.circuit.get_at_mut(feeder_at).expect("feeder exists");
                         feeder.push(thread, token);
                     }
                 }

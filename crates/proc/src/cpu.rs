@@ -572,14 +572,19 @@ impl Cpu {
         let drain_window = 8
             + 4 * (self.config.imem_latency.1.max(self.config.dmem_latency.1) as u64)
             + u64::from(self.config.mul_latency);
+        // Resolved once: the loop below reaches the fetcher by index,
+        // and `step_fired` reports the cycle's fired count without
+        // collecting transfer records, so a cycle allocates nothing.
+        let fetch = self.circuit.index_of("fetch").expect("fetcher exists");
         let mut idle = 0u64;
         loop {
             if self.circuit.cycle() >= max_cycles {
                 return Err(CpuError::Timeout { max_cycles });
             }
-            let report = self.circuit.step()?;
-            let halted = self.fetcher().all_halted();
-            if report.transfers.is_empty() {
+            let fired = self.circuit.step_fired()?;
+            let fetcher: &Fetcher = self.circuit.get_at(fetch).expect("fetcher exists");
+            let halted = fetcher.all_halted();
+            if fired == 0 {
                 idle += 1;
             } else {
                 idle = 0;

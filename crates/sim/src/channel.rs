@@ -36,7 +36,12 @@ pub struct ChannelSpec {
 /// The live signal state of one channel during a cycle.
 ///
 /// All signals are combinationally re-driven on every settle iteration;
-/// they are reset at the start of each cycle.
+/// they are reset at the start of each cycle. Once settle has converged,
+/// the kernel's channel pass checks the protocol invariant and latches
+/// the channel's clock-edge outcome into `offered`/`fired`: an MT channel
+/// carries at most one thread's token per cycle, so that outcome is a
+/// single fact every later reader (statistics, trace, `tick`) takes in
+/// O(1) instead of re-deriving it from the masks.
 #[derive(Clone, Debug)]
 pub(crate) struct ChannelState<T: Token> {
     pub spec: ChannelSpec,
@@ -46,6 +51,11 @@ pub(crate) struct ChannelState<T: Token> {
     pub ready: ThreadMask,
     /// The (single) data word, driven by the producer.
     pub data: Option<T>,
+    /// Latched after settle: the one thread whose `valid` is high.
+    pub offered: Option<usize>,
+    /// Latched after settle: the offered thread's `ready` is high too,
+    /// so its transfer fires at this clock edge.
+    pub fired: bool,
 }
 
 impl<T: Token> ChannelState<T> {
@@ -56,6 +66,8 @@ impl<T: Token> ChannelState<T> {
             valid: ThreadMask::new(threads),
             ready: ThreadMask::new(threads),
             data: None,
+            offered: None,
+            fired: false,
         }
     }
 
@@ -64,9 +76,21 @@ impl<T: Token> ChannelState<T> {
         self.valid.single()
     }
 
-    /// True when thread `t`'s transfer fires this cycle (`valid && ready`).
-    pub fn fires(&self, t: usize) -> bool {
-        self.valid.get(t) && self.ready.get(t)
+    /// Latches the settled clock-edge outcome. The caller has already
+    /// checked that at most one `valid` bit is set.
+    #[inline]
+    pub fn latch(&mut self, offered: Option<usize>) {
+        self.offered = offered;
+        self.fired = offered.is_some_and(|t| self.ready.get(t));
+    }
+
+    /// Clears the signals and the latch (circuit reset).
+    pub fn clear(&mut self) {
+        self.valid.clear();
+        self.ready.clear();
+        self.data = None;
+        self.offered = None;
+        self.fired = false;
     }
 }
 
@@ -101,12 +125,17 @@ mod tests {
     }
 
     #[test]
-    fn fires_requires_both_valid_and_ready() {
+    fn latch_fires_only_with_ready() {
         let mut c = ch();
         c.valid.set(0, true);
-        assert!(!c.fires(0));
+        c.latch(Some(0));
+        assert_eq!((c.offered, c.fired), (Some(0), false));
         c.ready.set(0, true);
-        assert!(c.fires(0));
-        assert!(!c.fires(1));
+        c.latch(Some(0));
+        assert_eq!((c.offered, c.fired), (Some(0), true));
+        c.latch(None);
+        assert_eq!((c.offered, c.fired), (None, false));
+        c.clear();
+        assert!(!c.valid.any() && !c.ready.any());
     }
 }

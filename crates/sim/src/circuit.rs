@@ -1,6 +1,6 @@
 //! The synchronous simulation kernel.
 //!
-//! Each cycle proceeds in two phases, mirroring synchronous hardware:
+//! Each cycle proceeds in three phases, mirroring synchronous hardware:
 //!
 //! 1. **Combinational settle** — components' [`eval`](crate::Component::eval)
 //!    run until no signal changes (fixed point). Components are evaluated
@@ -19,9 +19,14 @@
 //!    unless cut by an elastic buffer; the runtime
 //!    [`SimError::CombinationalLoop`] cap survives only as a safety net
 //!    for damped feedback loops.
-//! 2. **Clock edge** — the settled signals determine which transfers fire
-//!    (`valid(i) && ready(i)`); every component's
-//!    [`tick`](crate::Component::tick) then updates its registers.
+//! 2. **Channel pass** — one pass over the channels checks the protocol
+//!    invariant (at most one `valid` thread, data present) and latches
+//!    each channel's clock-edge outcome: the offered thread and whether
+//!    it fired (`valid(i) && ready(i)`). Statistics, the trace recorder
+//!    and [`TickCtx`] read the latch, never the masks.
+//! 3. **Clock edge** — one pass over the components calls every
+//!    [`tick`](crate::Component::tick) and picks up the first protocol
+//!    fault a component latched, lowest evaluation index first.
 //!
 //! Two fast-paths keep the event-driven kernel cheap (see
 //! `docs/kernel.md`): a cycle that converges after its single full sweep
@@ -33,7 +38,8 @@
 //! live in packed [`ThreadMask`] words, the dirty set is itself a mask
 //! over components, change detection happens word-level inside the
 //! signal setters, and the batch drivers [`Circuit::run`] /
-//! [`Circuit::run_until`] skip transfer-record collection entirely.
+//! [`Circuit::run_until`] and [`Circuit::step_fired`] skip
+//! transfer-record collection entirely.
 
 use crate::channel::{ChannelId, ChannelState};
 use crate::component::{Component, NextEvent};
@@ -86,6 +92,9 @@ pub struct EvalCtx<'a, T: Token> {
     pub(crate) listen_ready: &'a [bool],
     /// Per-channel: `valid` and `ready` share a combinational SCC.
     pub(crate) feedback: &'a [bool],
+    /// Per-component: owns a damped path, so its eval reads signals it
+    /// drives (see [`Component::comb_paths`]).
+    pub(crate) hysteretic: &'a [bool],
     pub(crate) cycle: u64,
 }
 
@@ -150,18 +159,27 @@ impl<'a, T: Token> EvalCtx<'a, T> {
 
     /// Marks the channel's reader dirty — but only if it declared a path
     /// triggered by this channel's `valid`/`data`; an unlistened signal
-    /// provably cannot change the reader's eval. On a feedback channel
-    /// the current component also self-wakes: hysteretic selection reads
-    /// its own driven signals, so its eval must re-run until it is a
-    /// no-op — the oracle's convergence condition. On DAG channels the
-    /// guards are disabled and evals are pure, so no self-wake is needed.
+    /// provably cannot change the reader's eval.
+    ///
+    /// On a feedback channel a *hysteretic* current component — one that
+    /// owns a damped path ([`CombPath::ReadyToValid`] with
+    /// `damped: true`) — also self-wakes: its selection guard reads the
+    /// signals it drives itself, so its eval must re-run until it is a
+    /// no-op, the oracle's convergence condition. Every other component
+    /// is a pure function of its inputs and registered state, so its
+    /// self-wake re-eval would be a guaranteed no-op and is skipped. The
+    /// contract this relies on: **an eval that reads a signal it drives
+    /// must declare a damped path.** On DAG channels the guards are
+    /// disabled and every eval is pure, so no self-wake is needed.
+    ///
+    /// [`CombPath::ReadyToValid`]: crate::CombPath::ReadyToValid
     #[inline]
     fn wake_reader(&mut self, ch: usize) {
         *self.changed = true;
         if self.listen_valid[ch] {
             self.woke.set(self.reader[ch], true);
         }
-        if self.feedback[ch] {
+        if self.feedback[ch] && self.hysteretic[self.current] {
             self.woke.set(self.current, true);
         }
     }
@@ -174,7 +192,7 @@ impl<'a, T: Token> EvalCtx<'a, T> {
         if self.listen_ready[ch] {
             self.woke.set(self.driver[ch], true);
         }
-        if self.feedback[ch] {
+        if self.feedback[ch] && self.hysteretic[self.current] {
             self.woke.set(self.current, true);
         }
     }
@@ -337,6 +355,11 @@ impl<'a, T: Token> EvalCtx<'a, T> {
 /// Clock-edge view of the circuit handed to
 /// [`Component::tick`](crate::Component::tick): read-only access to the
 /// settled signals of the finishing cycle.
+///
+/// [`offered`](Self::offered), [`fired`](Self::fired) and
+/// [`fired_any`](Self::fired_any) are O(1): they read the outcome the
+/// kernel latched per channel after settle, not the `valid`/`ready`
+/// masks. Debug builds check every such read against the masks.
 pub struct TickCtx<'a, T: Token> {
     pub(crate) channels: &'a [ChannelState<T>],
     pub(crate) cycle: u64,
@@ -378,17 +401,43 @@ impl<'a, T: Token> TickCtx<'a, T> {
         self.channels[ch.0].data.as_ref()
     }
 
+    /// The latched state of `ch`, checked against its masks in debug
+    /// builds.
+    #[inline]
+    fn latched(&self, ch: ChannelId) -> &ChannelState<T> {
+        let st = &self.channels[ch.0];
+        debug_assert_eq!(
+            (st.offered, st.fired),
+            {
+                let t = st.single_valid();
+                (t, t.is_some_and(|t| st.ready.get(t)))
+            },
+            "stale clock-edge latch on channel `{}`",
+            st.spec.name
+        );
+        st
+    }
+
+    /// The thread offered on `ch` this cycle — its one settled `valid`
+    /// bit — whether or not the transfer fired.
+    #[inline]
+    pub fn offered(&self, ch: ChannelId) -> Option<usize> {
+        self.latched(ch).offered
+    }
+
     /// Whether thread `t`'s transfer fired on `ch` this cycle.
+    #[inline]
     pub fn fired(&self, ch: ChannelId, thread: usize) -> bool {
-        self.channels[ch.0].fires(thread)
+        let st = self.latched(ch);
+        st.fired && st.offered == Some(thread)
     }
 
     /// The thread and token of the transfer that fired on `ch`, if any.
+    #[inline]
     pub fn fired_any(&self, ch: ChannelId) -> Option<(usize, &T)> {
-        let st = &self.channels[ch.0];
-        let t = st.single_valid()?;
-        if st.ready.get(t) {
-            st.data.as_ref().map(|d| (t, d))
+        let st = self.latched(ch);
+        if st.fired {
+            st.offered.zip(st.data.as_ref())
         } else {
             None
         }
@@ -423,6 +472,16 @@ pub struct CycleReport {
     pub evals: usize,
 }
 
+/// What one stepped cycle did, for the public step drivers to report.
+struct Stepped {
+    /// Settle rounds (the full sweep counts as round one).
+    rounds: usize,
+    /// `Component::eval` invocations of the settle phase.
+    evals: usize,
+    /// Transfers that fired at the clock edge.
+    fired: usize,
+}
+
 /// A fully wired synchronous elastic circuit.
 ///
 /// Build one with [`CircuitBuilder`](crate::CircuitBuilder), then drive it
@@ -446,6 +505,9 @@ pub struct Circuit<T: Token> {
     listen_ready: Vec<bool>,
     /// Per-channel: part of a (damped) combinational feedback cycle.
     feedback: Vec<bool>,
+    /// Per-component (rank order): owns a damped path, so it self-wakes
+    /// when it changes a feedback channel.
+    hysteretic: Vec<bool>,
     /// Widest rank level of the compiled schedule.
     rank_width: u64,
     mode: EvalMode,
@@ -490,6 +552,7 @@ impl<T: Token> Circuit<T> {
             listen_valid: schedule.listen_valid,
             listen_ready: schedule.listen_ready,
             feedback: schedule.feedback,
+            hysteretic: schedule.hysteretic,
             rank_width: schedule.rank_width,
             mode: EvalMode::default(),
             woke,
@@ -567,9 +630,7 @@ impl<T: Token> Circuit<T> {
             }
         }
         for ch in &mut self.channels {
-            ch.valid.clear();
-            ch.ready.clear();
-            ch.data = None;
+            ch.clear();
         }
         self.woke.clear();
         self.quiescent = false;
@@ -622,29 +683,55 @@ impl<T: Token> Circuit<T> {
     }
 
     /// Evaluation-order index of the component named `name`, if any.
-    fn component_index(&self, name: &str) -> Option<usize> {
+    ///
+    /// A by-name lookup is a linear scan over the component names. A
+    /// harness that reaches the same component every cycle resolves the
+    /// index once with this and then uses [`get_at`](Self::get_at) /
+    /// [`get_at_mut`](Self::get_at_mut); [`get`](Self::get) and
+    /// [`get_mut`](Self::get_mut) stay the cold-path API.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
         (0..self.components.len()).find(|&i| self.components.component(i).name() == name)
     }
 
     /// Immutable access to a component by instance name.
     pub fn component(&self, name: &str) -> Option<&dyn Component<T>> {
-        self.component_index(name)
-            .map(|i| self.components.component(i))
+        self.index_of(name).map(|i| self.components.component(i))
     }
 
     /// Typed immutable access to a component by instance name.
     ///
     /// Returns `None` if no component has that name *or* it is not a `C`.
     pub fn get<C: Component<T> + 'static>(&self, name: &str) -> Option<&C> {
-        self.component(name)
-            .and_then(|c| c.as_any().downcast_ref::<C>())
+        self.get_at(self.index_of(name)?)
     }
 
     /// Typed mutable access to a component by instance name.
     pub fn get_mut<C: Component<T> + 'static>(&mut self, name: &str) -> Option<&mut C> {
-        let i = self.component_index(name)?;
+        self.get_at_mut(self.index_of(name)?)
+    }
+
+    /// Typed immutable access to the component at evaluation-order
+    /// `index` (see [`index_of`](Self::index_of)).
+    ///
+    /// Returns `None` if `index` is out of range *or* the component is
+    /// not a `C`.
+    pub fn get_at<C: Component<T> + 'static>(&self, index: usize) -> Option<&C> {
+        if index >= self.components.len() {
+            return None;
+        }
         self.components
-            .component_mut(i)
+            .component(index)
+            .as_any()
+            .downcast_ref::<C>()
+    }
+
+    /// Typed mutable access to the component at evaluation-order `index`.
+    pub fn get_at_mut<C: Component<T> + 'static>(&mut self, index: usize) -> Option<&mut C> {
+        if index >= self.components.len() {
+            return None;
+        }
+        self.components
+            .component_mut(index)
             .as_any_mut()
             .downcast_mut::<C>()
     }
@@ -704,16 +791,40 @@ impl<T: Token> Circuit<T> {
     ///   the clock edge;
     /// * [`SimError::Deadlock`] — the watchdog fired (if armed).
     pub fn step(&mut self) -> Result<CycleReport, SimError> {
-        self.step_collect(true)
+        let cycle = self.cycle;
+        let mut transfers = Vec::new();
+        let stepped = self.step_inner(Some(&mut transfers))?;
+        Ok(CycleReport {
+            cycle,
+            transfers,
+            settle_iterations: stepped.rounds,
+            evals: stepped.evals,
+        })
     }
 
-    /// The cycle loop body. `collect` controls whether fired transfers
-    /// are materialised into the report — the batch drivers
-    /// ([`run`](Circuit::run), [`run_until`](Circuit::run_until)) pass
-    /// `false` and skip the per-transfer record pushes entirely, since
-    /// they discard the report anyway. Statistics, traces, invariant
-    /// checks and the watchdog behave identically either way.
-    fn step_collect(&mut self, collect: bool) -> Result<CycleReport, SimError> {
+    /// Simulates one clock cycle exactly like [`step`](Circuit::step)
+    /// (no quiescence fast-forward) but without materialising transfer
+    /// records; returns how many transfers fired. This is the per-cycle
+    /// driver for harnesses that only need to know whether anything
+    /// moved — it allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`step`](Circuit::step).
+    pub fn step_fired(&mut self) -> Result<usize, SimError> {
+        Ok(self.step_inner(None)?.fired)
+    }
+
+    /// The cycle loop body. Fired transfers are pushed to `transfers`
+    /// when given — the batch drivers ([`run`](Circuit::run),
+    /// [`run_until`](Circuit::run_until)) and [`step_fired`](Circuit::step_fired)
+    /// pass `None` and skip the per-transfer record pushes entirely.
+    /// Statistics, traces, invariant checks and the watchdog behave
+    /// identically either way.
+    fn step_inner(
+        &mut self,
+        mut transfers: Option<&mut Vec<Transfer>>,
+    ) -> Result<Stepped, SimError> {
         // Phase 1: combinational fixed point. Signals are *warm-started*
         // from the previous cycle's settled values: every component
         // re-drives all signals it owns whenever it is evaluated (the
@@ -788,11 +899,17 @@ impl<T: Token> Circuit<T> {
             *acc += *delta;
         }
 
-        // Phase 2: protocol invariant checks — word-level popcounts; the
-        // per-thread index list is materialised only on the error path.
-        for ch in &self.channels {
-            match ch.valid.count_ones() {
-                0 | 1 => {}
+        // Phase 2: one pass over the channels checks the protocol
+        // invariant — word-level popcounts; the per-thread index list is
+        // materialised only on the error path — and latches each
+        // channel's clock-edge outcome. Everything after this reads the
+        // latch instead of the masks.
+        let mut fired = 0usize;
+        let mut any_valid = false;
+        for ch in &mut self.channels {
+            let offered = match ch.valid.count_ones() {
+                0 => None,
+                1 => ch.valid.first_one(),
                 _ => {
                     return Err(SimError::ChannelInvariant {
                         cycle: self.cycle,
@@ -800,37 +917,34 @@ impl<T: Token> Circuit<T> {
                         threads: ch.valid.iter_ones().collect(),
                     });
                 }
+            };
+            if let (Some(t), None) = (offered, &ch.data) {
+                return Err(SimError::MissingData {
+                    cycle: self.cycle,
+                    channel: ch.spec.name.clone(),
+                    thread: t,
+                });
             }
-            if let Some(t) = ch.valid.first_one() {
-                if ch.data.is_none() {
-                    return Err(SimError::MissingData {
-                        cycle: self.cycle,
-                        channel: ch.spec.name.clone(),
-                        thread: t,
-                    });
-                }
-            }
+            ch.latch(offered);
+            any_valid |= offered.is_some();
+            fired += usize::from(ch.fired);
         }
 
-        // Phase 3: collect transfers, statistics, trace. After phase 2,
-        // `valid.any()` implies exactly one asserted thread.
-        let mut transfers = Vec::new();
-        let mut fired = 0usize;
-        let mut any_valid = false;
+        // Phase 3: statistics, transfer records and trace, from the
+        // latch. Kept apart from phase 2 so a cycle that fails its checks
+        // leaves the statistics untouched.
         for (ci, ch) in self.channels.iter().enumerate() {
             let cs = self.stats.channel_mut(ChannelId(ci));
-            let Some(t) = ch.valid.first_one() else {
+            let Some(t) = ch.offered else {
                 // An idle cycle ends any backpressure streak in progress.
                 cs.stall_streak = 0;
                 continue;
             };
-            any_valid = true;
             cs.busy_cycles += 1;
-            if ch.ready.get(t) {
+            if ch.fired {
                 cs.transfers[t] += 1;
                 cs.stall_streak = 0;
-                fired += 1;
-                if collect {
+                if let Some(transfers) = transfers.as_deref_mut() {
                     transfers.push(Transfer {
                         channel: ChannelId(ci),
                         thread: t,
@@ -847,13 +961,10 @@ impl<T: Token> Circuit<T> {
             let channels = self
                 .channels
                 .iter()
-                .map(|ch| {
-                    let t = ch.single_valid();
-                    ChannelTrace {
-                        valid_thread: t,
-                        label: ch.data.as_ref().map(|d| d.label()),
-                        fired: t.is_some_and(|t| ch.ready.get(t)),
-                    }
+                .map(|ch| ChannelTrace {
+                    valid_thread: ch.offered,
+                    label: ch.data.as_ref().map(|d| d.label()),
+                    fired: ch.fired,
                 })
                 .collect();
             // Slots are keyed by component index — the recorder's name
@@ -894,12 +1005,8 @@ impl<T: Token> Circuit<T> {
                 let stalled = self
                     .channels
                     .iter()
-                    .flat_map(|ch| {
-                        ch.valid
-                            .iter_ones()
-                            .filter(|&t| !ch.ready.get(t))
-                            .map(|t| (ch.spec.name.clone(), t))
-                    })
+                    .filter(|ch| !ch.fired)
+                    .filter_map(|ch| ch.offered.map(|t| (ch.spec.name.clone(), t)))
                     .collect();
                 return Err(SimError::Deadlock {
                     cycle: self.cycle,
@@ -910,15 +1017,14 @@ impl<T: Token> Circuit<T> {
             }
         }
 
-        // Phase 4: clock edge, then collect any fault a component latched
-        // while processing it (the typed replacement for in-component
-        // panics).
+        // Phase 4: clock edge. The same pass that ticks the components
+        // picks up the first fault one latched while processing it (the
+        // typed replacement for in-component panics).
         let tick_ctx = TickCtx {
             channels: &self.channels,
             cycle: self.cycle,
         };
-        self.components.tick_all(&tick_ctx);
-        if let Some((i, error)) = self.components.take_faults() {
+        if let Some((i, error)) = self.components.tick_all(&tick_ctx) {
             return Err(SimError::Component {
                 cycle: self.cycle,
                 component: self.components.component(i).name().to_string(),
@@ -926,14 +1032,12 @@ impl<T: Token> Circuit<T> {
             });
         }
 
-        let report = CycleReport {
-            cycle: self.cycle,
-            transfers,
-            settle_iterations: rounds,
-            evals,
-        };
         self.cycle += 1;
-        Ok(report)
+        Ok(Stepped {
+            rounds,
+            evals,
+            fired,
+        })
     }
 
     /// One settle round over the op table: a full sweep when `full`,
@@ -950,6 +1054,7 @@ impl<T: Token> Circuit<T> {
             listen_valid: &self.listen_valid,
             listen_ready: &self.listen_ready,
             feedback: &self.feedback,
+            hysteretic: &self.hysteretic,
             cycle: self.cycle,
         };
         let evals = self.components.sweep(&mut ctx, full, op_evals);
@@ -1043,7 +1148,7 @@ impl<T: Token> Circuit<T> {
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
         let end = self.cycle.saturating_add(cycles);
         while self.cycle < end {
-            self.step_collect(false)?;
+            self.step_inner(None)?;
             if self.quiescent {
                 self.fast_forward(end);
             }
@@ -1072,7 +1177,7 @@ impl<T: Token> Circuit<T> {
             if pred(self) {
                 return Ok(true);
             }
-            self.step_collect(false)?;
+            self.step_inner(None)?;
             if self.quiescent {
                 self.fast_forward(end);
             }

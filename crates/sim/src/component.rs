@@ -236,12 +236,22 @@ pub trait Component<T: Token>: Send {
     /// occupancy) should override this to declare exactly the paths their
     /// `eval` implements. The declarations must be *complete*: every
     /// channel signal `eval` reads must appear as a `from` in some path.
+    ///
+    /// **An eval that reads a signal it drives must declare a damped
+    /// path** ([`CombPath::ReadyToValid`] with `damped: true`). Owning a
+    /// damped path makes the component *hysteretic*: when it changes a
+    /// signal on a feedback channel the kernel re-evaluates it until its
+    /// eval is a no-op. Components without one are treated as pure
+    /// functions of their inputs and registered state and are not
+    /// re-woken by their own writes.
     fn comb_paths(&self) -> Vec<CombPath> {
         conservative_paths(&self.ports())
     }
 
     /// Rising clock edge: observe the settled handshakes and update
-    /// internal registers.
+    /// internal registers. [`TickCtx::offered`], [`TickCtx::fired`] and
+    /// [`TickCtx::fired_any`] are O(1) reads of the channel outcome the
+    /// kernel latched after settle — prefer them to scanning masks.
     fn tick(&mut self, ctx: &TickCtx<'_, T>);
 
     /// Rewinds the component to its freshly built *empty* state so an
@@ -280,8 +290,9 @@ pub trait Component<T: Token>: Send {
     }
 
     /// Takes a protocol fault latched during [`tick`](Component::tick),
-    /// if any. The kernel polls this after every clock edge and converts
-    /// a latched fault into
+    /// if any. The kernel polls this right after the component's tick, in
+    /// the same pass over the components, until one fault is found, and
+    /// converts the first (lowest evaluation index) into
     /// [`SimError::Component`](crate::SimError::Component) — the typed
     /// path replacing in-component `panic!`s.
     fn take_fault(&mut self) -> Option<ProtocolError> {

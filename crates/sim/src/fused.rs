@@ -1,9 +1,9 @@
 //! The settle kernel's **op-table contract** and its two backends.
 //!
-//! Every circuit runs its settle rounds, clock edges and fault scans
-//! through one [`FusedTable`]. The interpreted backend is the plain
-//! boxed component vector (`impl FusedTable for Vec<Box<dyn Component>>`
-//! below): one vtable call per eval. After elaboration, though, the
+//! Every circuit runs its settle rounds and clock edges (with their
+//! fault pick-up) through one [`FusedTable`]. The interpreted backend is
+//! the plain boxed component vector (`impl FusedTable for Vec<Box<dyn
+//! Component>>` below): one vtable call per eval. After elaboration, though, the
 //! component sequence and the levelized rank schedule are fully known —
 //! so the whole sweep can also be *compiled* into a flat op table
 //! executed as one linear `match`-dispatch pass per settle round (the
@@ -16,9 +16,10 @@
 //!   one);
 //! * [`FusedTable`] — the object-safe contract both tables implement:
 //!   **one** dynamic call per settle round ([`sweep`](FusedTable::sweep)),
-//!   plus clock-edge and fault-scan passes, and per-index component
-//!   accessors so introspection (`Circuit::get`, tracing, reset) works
-//!   unchanged;
+//!   one per clock edge ([`tick_all`](FusedTable::tick_all), which ticks
+//!   every op and returns the first latched protocol fault from the same
+//!   pass), and per-index component accessors so introspection
+//!   (`Circuit::get`, tracing, reset) works unchanged;
 //! * [`SweepCtx`] — the split-borrow view of the circuit a sweep runs
 //!   against, bridging to [`EvalCtx`] per op;
 //! * [`FusedOpKind`] — the dense op-class label used for per-op eval
@@ -157,6 +158,7 @@ pub struct SweepCtx<'a, T: Token> {
     pub(crate) listen_valid: &'a [bool],
     pub(crate) listen_ready: &'a [bool],
     pub(crate) feedback: &'a [bool],
+    pub(crate) hysteretic: &'a [bool],
     pub(crate) cycle: u64,
 }
 
@@ -187,6 +189,7 @@ impl<'a, T: Token> SweepCtx<'a, T> {
             listen_valid: self.listen_valid,
             listen_ready: self.listen_ready,
             feedback: self.feedback,
+            hysteretic: self.hysteretic,
             cycle: self.cycle,
         };
         for i in 0..n {
@@ -240,12 +243,11 @@ pub trait FusedTable<T: Token>: Send {
     ) -> usize;
 
     /// Clock edge: ticks every op, in storage order, with static
-    /// dispatch.
-    fn tick_all(&mut self, ctx: &TickCtx<'_, T>);
-
-    /// Scans ops in storage order for a latched protocol fault; returns
-    /// the first `(component index, fault)` found.
-    fn take_faults(&mut self) -> Option<(usize, ProtocolError)>;
+    /// dispatch, and returns the first `(component index, fault)` an op
+    /// latched — lowest index first — from the same pass. Once a fault
+    /// is found, later ops are still ticked but their faults are not
+    /// taken: they stay latched, as if never polled.
+    fn tick_all(&mut self, ctx: &TickCtx<'_, T>) -> Option<(usize, ProtocolError)>;
 
     /// Borrows op `i` as a plain component (name, slots, downcasts,
     /// next-event scheduling — every cold path reuses the trait
@@ -274,16 +276,15 @@ impl<T: Token> FusedTable<T> for Vec<Box<dyn Component<T>>> {
         ctx.drain(full, |i, ectx| self[i].eval(ectx))
     }
 
-    fn tick_all(&mut self, ctx: &TickCtx<'_, T>) {
-        for c in self.iter_mut() {
+    fn tick_all(&mut self, ctx: &TickCtx<'_, T>) -> Option<(usize, ProtocolError)> {
+        let mut first = None;
+        for (i, c) in self.iter_mut().enumerate() {
             c.tick(ctx);
+            if first.is_none() {
+                first = c.take_fault().map(|e| (i, e));
+            }
         }
-    }
-
-    fn take_faults(&mut self) -> Option<(usize, ProtocolError)> {
-        self.iter_mut()
-            .enumerate()
-            .find_map(|(i, c)| c.take_fault().map(|e| (i, e)))
+        first
     }
 
     fn component(&self, i: usize) -> &dyn Component<T> {

@@ -18,7 +18,12 @@
 //! 3. Tarjan SCC over *all* edges marks `feedback` channels (those whose
 //!    `valid` and `ready` take part in one combinational cycle); only
 //!    those channels keep the kernel's self-wake and the arbiters'
-//!    anti-swap guards.
+//!    anti-swap guards. The self-wake is further limited to *hysteretic*
+//!    components, the owners of a damped path: their guards read the
+//!    signals they drive, so they must re-evaluate after changing one.
+//!    Every other eval is a pure function of its inputs and registered
+//!    state, and re-running it would be a no-op. The contract: **an eval
+//!    that reads a signal it drives must declare a damped path.**
 //! 4. The component-level condensation of the graph is levelized, and the
 //!    evaluation order is permuted to rank order: every component is
 //!    evaluated after everything it combinationally depends on, so the
@@ -44,6 +49,9 @@ pub(crate) struct Schedule {
     /// Per-channel: `valid` and `ready` belong to one combinational SCC,
     /// so hysteretic selection on it must keep its guard and self-wake.
     pub feedback: Vec<bool>,
+    /// Per-component, in rank order (like the permuted components): owns
+    /// a damped path, so it self-wakes when it changes a feedback channel.
+    pub hysteretic: Vec<bool>,
     /// Largest number of components sharing one rank level.
     pub rank_width: u64,
 }
@@ -314,11 +322,20 @@ pub(crate) fn compute_schedule<T: Token>(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (comp_level[i], i));
 
+    // 5. Hysteretic components own a damped path; permuted with the rank
+    // order so the kernel indexes it by evaluation index.
+    let mut damped_owner = vec![false; n];
+    for e in edges.iter().filter(|e| e.damped) {
+        damped_owner[e.owner] = true;
+    }
+    let hysteretic = order.iter().map(|&i| damped_owner[i]).collect();
+
     Ok(Schedule {
         order,
         listen_valid,
         listen_ready,
         feedback,
+        hysteretic,
         rank_width,
     })
 }
@@ -481,6 +498,8 @@ mod tests {
         // Both components sit in one component-level SCC: same rank, kept
         // in insertion order.
         assert_eq!(s.order, vec![0, 1]);
+        // Only the owner of the damped path self-wakes.
+        assert_eq!(s.hysteretic, vec![true, false]);
         assert_eq!(s.rank_width, 2);
     }
 

@@ -302,11 +302,10 @@ impl<T: Token> Component<T> for Source<T> {
     }
 
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
-        // The channel carries at most one valid thread: the offered one.
-        let Some(t) = ctx.valid_mask(self.out).first_one() else {
+        let Some(t) = ctx.offered(self.out) else {
             return;
         };
-        if ctx.ready(self.out, t) {
+        if ctx.fired(self.out, t) {
             if let Some((rel, _)) = self.queues[t].pop_front() {
                 if rel > 0 {
                     self.timed -= 1;
@@ -632,6 +631,7 @@ mod tests {
         let listen_valid = vec![false];
         let listen_ready = vec![true];
         let feedback = vec![false];
+        let hysteretic = vec![true];
         let mut woke = crate::ThreadMask::new(1);
         let mut sweep = |src: &mut Source<u64>, channels: &mut Vec<ChannelState<u64>>| {
             let mut changed = false;
@@ -645,6 +645,7 @@ mod tests {
                 listen_valid: &listen_valid,
                 listen_ready: &listen_ready,
                 feedback: &feedback,
+                hysteretic: &hysteretic,
                 cycle: 4,
             };
             src.eval(&mut ctx);

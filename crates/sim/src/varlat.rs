@@ -268,17 +268,18 @@ impl<T: Token> Component<T> for VarLatency<T> {
     fn tick(&mut self, ctx: &TickCtx<'_, T>) {
         // Emit first (frees the slot next cycle, not this one — the input
         // ready this cycle already accounted for the pre-emission count).
-        if let Some((t, _)) = ctx.fired_any(self.out) {
-            if let Some(pos) = self
-                .entries
-                .iter()
-                .position(|e| e.thread == t && e.done_at <= ctx.cycle())
-            {
-                self.entries.remove(pos);
+        if let Some(t) = ctx.offered(self.out) {
+            if ctx.fired(self.out, t) {
+                if let Some(pos) = self
+                    .entries
+                    .iter()
+                    .position(|e| e.thread == t && e.done_at <= ctx.cycle())
+                {
+                    self.entries.remove(pos);
+                }
             }
-            self.rr = (t + 1) % self.threads;
-        } else if let Some(t) = ctx.valid_mask(self.out).first_one() {
-            // Stalled offer: rotate to avoid starving other done threads.
+            // Rotate past the offered thread whether it fired or stalled,
+            // so a stalled offer does not starve the other done threads.
             self.rr = (t + 1) % self.threads;
         }
         if let Some((t, data)) = ctx.fired_any(self.inp) {

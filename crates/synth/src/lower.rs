@@ -27,6 +27,12 @@
 //! Every other op's `Component::eval` already commits whole words
 //! (`docs/perf.md` §1) and is dispatched statically to that same method,
 //! so for them the fused backend removes only the vtable call.
+//!
+//! The clock edge is one statically dispatched pass as well:
+//! [`OpTable::tick_all`](FusedTable::tick_all) ticks every op and takes
+//! the first latched protocol fault (lowest op index) in the same loop.
+//! The ticks read the offered/fired outcome the kernel latched per
+//! channel after settle, so none of them scans a handshake mask.
 //! Components the lowering does not recognise (custom user primitives,
 //! [`IrNodeKind::Custom`] nodes) stay boxed in [`FusedOp::Boxed`] and
 //! keep their vtable path.
@@ -235,20 +241,20 @@ impl<T: Token> FusedTable<T> for OpTable<T> {
         })
     }
 
-    fn tick_all(&mut self, ctx: &TickCtx<'_, T>) {
-        for op in &mut self.ops {
-            for_each_op!(op, c => c.tick(ctx));
-        }
-    }
-
-    fn take_faults(&mut self) -> Option<(usize, ProtocolError)> {
+    fn tick_all(&mut self, ctx: &TickCtx<'_, T>) -> Option<(usize, ProtocolError)> {
+        // One pass ticks and picks up faults: the first latched fault
+        // (lowest op index) is taken, later ones stay latched.
+        let mut first = None;
         for (i, op) in self.ops.iter_mut().enumerate() {
-            let fault = for_each_op!(op, c => c.take_fault());
-            if let Some(error) = fault {
-                return Some((i, error));
-            }
+            first = for_each_op!(op, c => {
+                c.tick(ctx);
+                match first {
+                    None => c.take_fault().map(|e| (i, e)),
+                    some => some,
+                }
+            });
         }
-        None
+        first
     }
 
     fn component(&self, i: usize) -> &dyn Component<T> {

@@ -2,8 +2,8 @@
 //! circuits must be *reported*, not mis-simulated.
 
 use mt_elastic::sim::{
-    impl_as_any, BuildError, ChannelId, CircuitBuilder, CombPath, Component, EvalCtx, Ports,
-    ProtocolError, ReadyPolicy, SimError, Sink, Source, TickCtx, Transform,
+    impl_as_any, BuildError, ChannelId, Circuit, CircuitBuilder, CombPath, Component, EvalCtx,
+    KernelBackend, Ports, ProtocolError, ReadyPolicy, SimError, Sink, Source, TickCtx, Transform,
 };
 
 /// A misbehaving producer that asserts two valids at once.
@@ -346,4 +346,205 @@ fn a_buffer_cuts_the_loop() {
     circuit.run(10).expect("settles every cycle");
     let snk: &Sink<u64> = circuit.get("snk").expect("sink");
     assert_eq!(snk.consumed_total(), 5);
+}
+
+/// How [`GoesBad`] breaks the channel protocol once it turns bad.
+#[derive(Clone, Copy)]
+enum Breach {
+    /// Two valid threads at once.
+    TwoValids,
+    /// A valid thread without data.
+    NoData,
+}
+
+/// A producer that offers a well-formed token on thread 0 every cycle
+/// until `bad_from`, then breaks the protocol.
+struct GoesBad {
+    out: ChannelId,
+    bad_from: u64,
+    breach: Breach,
+}
+
+impl Component<u64> for GoesBad {
+    fn name(&self) -> &str {
+        "goes_bad"
+    }
+    fn ports(&self) -> Ports {
+        Ports::new([], [self.out])
+    }
+    fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
+        ctx.drive_token(self.out, 0, ctx.cycle());
+        if ctx.cycle() >= self.bad_from {
+            match self.breach {
+                Breach::TwoValids => ctx.set_valid(self.out, 1, true),
+                Breach::NoData => ctx.set_data(self.out, None),
+            }
+        }
+    }
+    fn tick(&mut self, _ctx: &TickCtx<'_, u64>) {}
+    impl_as_any!();
+}
+
+/// A cycle that fails the channel checks records nothing: the kernel
+/// checks every channel before it updates any statistic, so the cycle
+/// count and every channel's statistics (including those of healthy
+/// channels checked before the failing one) stay as they were.
+#[test]
+fn failed_channel_check_leaves_statistics_untouched() {
+    for breach in [Breach::TwoValids, Breach::NoData] {
+        let mut b = CircuitBuilder::<u64>::new();
+        // Created first, so the kernel checks it before the failing bus.
+        let good = b.channel("good", 2);
+        let bus = b.channel("bus", 2);
+        let mut src = Source::new("src", good, 2);
+        src.extend(0, 0..100);
+        src.extend(1, 0..100);
+        b.add(src);
+        let mut snk = Sink::new("snk", good, 2, ReadyPolicy::Always);
+        // A stalled thread gives the healthy channel stall statistics too.
+        snk.set_policy(1, ReadyPolicy::Never);
+        b.add(snk);
+        b.add(GoesBad {
+            out: bus,
+            bad_from: 4,
+            breach,
+        });
+        b.add(Sink::new("bus_snk", bus, 2, ReadyPolicy::Never));
+        let mut circuit = b.build().expect("structurally valid");
+        circuit.run(4).expect("well-formed until cycle 4");
+        let cycles = circuit.stats().cycles();
+        let before = [
+            circuit.stats().channel(good).clone(),
+            circuit.stats().channel(bus).clone(),
+        ];
+        assert!(before[0].busy_cycles > 0 && before[1].busy_cycles > 0);
+        let err = circuit.step().expect_err("the bus breaks at cycle 4");
+        assert!(
+            matches!(
+                (breach, &err),
+                (Breach::TwoValids, SimError::ChannelInvariant { .. })
+                    | (Breach::NoData, SimError::MissingData { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(circuit.stats().cycles(), cycles);
+        assert_eq!(circuit.stats().channel(good), &before[0]);
+        assert_eq!(circuit.stats().channel(bus), &before[1]);
+    }
+}
+
+/// A component that latches `error` at the clock edge of cycle 2, once.
+struct FaultsOnce {
+    name: &'static str,
+    inputs: Vec<ChannelId>,
+    out: ChannelId,
+    error: ProtocolError,
+    latched: Option<ProtocolError>,
+    fired: bool,
+}
+
+impl Component<u64> for FaultsOnce {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn ports(&self) -> Ports {
+        Ports::new(self.inputs.clone(), [self.out])
+    }
+    fn comb_paths(&self) -> Vec<CombPath> {
+        // The pass-through stage reads its input's valid, so it ranks
+        // after the stage that drives it.
+        self.inputs
+            .iter()
+            .map(|&from| CombPath::ValidToValid { from, to: self.out })
+            .collect()
+    }
+    fn eval(&mut self, ctx: &mut EvalCtx<'_, u64>) {
+        for &inp in &self.inputs {
+            ctx.drive_unready(inp);
+        }
+        ctx.drive_idle(self.out);
+    }
+    fn tick(&mut self, ctx: &TickCtx<'_, u64>) {
+        if ctx.cycle() == 2 && !self.fired {
+            self.fired = true;
+            self.latched = Some(self.error.clone());
+        }
+    }
+    fn take_fault(&mut self) -> Option<ProtocolError> {
+        self.latched.take()
+    }
+    impl_as_any!();
+}
+
+/// Two components that latch faults at the same clock edge: the error
+/// names the one with the lower rank (evaluation) index, on both
+/// backends, and the other fault stays latched for the next step. The
+/// stages are inserted downstream-first, so rank order is not insertion
+/// order.
+#[test]
+fn same_cycle_faults_report_the_lower_rank_index() {
+    for fused in [false, true] {
+        let mut b = CircuitBuilder::<u64>::new();
+        let a_out = b.channel("a_out", 1);
+        let b_out = b.channel("b_out", 1);
+        b.add(FaultsOnce {
+            name: "stage_b",
+            inputs: vec![a_out],
+            out: b_out,
+            error: ProtocolError::BufferOverflow,
+            latched: None,
+            fired: false,
+        });
+        b.add(FaultsOnce {
+            name: "stage_a",
+            inputs: vec![],
+            out: a_out,
+            error: ProtocolError::BufferUnderflow,
+            latched: None,
+            fired: false,
+        });
+        b.add(Sink::new("snk", b_out, 1, ReadyPolicy::Always));
+        if fused {
+            b.set_fuser(mt_elastic::synth::fuse);
+        }
+        let mut circuit: Circuit<u64> = b.build().expect("structurally valid");
+        let backend = if fused {
+            KernelBackend::Fused
+        } else {
+            KernelBackend::Interpreted
+        };
+        assert_eq!(circuit.backend(), backend);
+        let (a, b) = (
+            circuit.index_of("stage_a").expect("stage_a"),
+            circuit.index_of("stage_b").expect("stage_b"),
+        );
+        assert!(a < b, "stage_a drives stage_b's input, so it ranks first");
+        let err = circuit.run(10).expect_err("faults must surface");
+        match err {
+            SimError::Component {
+                cycle,
+                component,
+                error,
+            } => {
+                assert_eq!(cycle, 2, "{backend:?}");
+                assert_eq!(component, "stage_a", "{backend:?}");
+                assert_eq!(error, ProtocolError::BufferUnderflow, "{backend:?}");
+            }
+            other => panic!("unexpected on {backend:?}: {other}"),
+        }
+        // The higher-index fault was not taken: the next clock edge
+        // reports it.
+        match circuit
+            .step()
+            .expect_err("stage_b's fault is still latched")
+        {
+            SimError::Component {
+                component, error, ..
+            } => {
+                assert_eq!(component, "stage_b", "{backend:?}");
+                assert_eq!(error, ProtocolError::BufferOverflow, "{backend:?}");
+            }
+            other => panic!("unexpected on {backend:?}: {other}"),
+        }
+    }
 }
