@@ -5,11 +5,15 @@
 //! the raw cost of the `ThreadMask` operations the loop is built from.
 //! Random sink readiness keeps every channel's valid/ready masks churning,
 //! so the loop cannot quiesce early — this is the worst case the packed
-//! refactor targets. See `docs/perf.md` for the full methodology.
+//! refactor targets. The `sink_ready_word` group times the stall
+//! stimulus alone: the per-cycle ready word of a 64-thread sink with a
+//! per-thread `Random` policy, built from the compiled integer rules
+//! versus one `ReadyPolicy::is_ready` call per thread. See
+//! `docs/perf.md` for the full methodology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elastic_core::{MebKind, PipelineConfig, PipelineHarness};
-use elastic_sim::{KernelBackend, ReadyPolicy, ThreadMask};
+use elastic_sim::{CircuitBuilder, KernelBackend, ReadyPolicy, Sink, Tagged, ThreadMask};
 
 const CYCLES: u64 = 1_000;
 
@@ -70,6 +74,47 @@ fn bench_fused_vs_interpreted(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-cycle ready word of an S = 64 sink with per-thread `Random`
+/// policies (the `pipeline` workload's stall stimulus), over `CYCLES`
+/// consecutive cycles: the compiled word the fused kernel commits, and
+/// the per-thread spec it must equal.
+fn bench_sink_ready_word(c: &mut Criterion) {
+    const THREADS: usize = 64;
+    let policies: Vec<ReadyPolicy> = (0..THREADS)
+        .map(|t| ReadyPolicy::Random {
+            p: 0.02,
+            seed: 0xC0FF_EE00 ^ t as u64,
+        })
+        .collect();
+    let ch = CircuitBuilder::<Tagged>::new().channel("snk", THREADS);
+    let mut sink = Sink::<Tagged>::new("snk", ch, THREADS, ReadyPolicy::Always);
+    for (t, p) in policies.iter().enumerate() {
+        sink.set_policy(t, p.clone());
+    }
+    let mut mask = ThreadMask::new(THREADS);
+    let mut group = c.benchmark_group("sink_ready_word");
+    group.throughput(Throughput::Elements(CYCLES));
+    group.bench_function(BenchmarkId::new("compiled", THREADS), |b| {
+        b.iter(|| {
+            for cycle in 0..CYCLES {
+                sink.ready_word(cycle, &mut mask);
+                std::hint::black_box(&mask);
+            }
+        })
+    });
+    group.bench_function(BenchmarkId::new("is_ready", THREADS), |b| {
+        b.iter(|| {
+            for cycle in 0..CYCLES {
+                for (t, p) in policies.iter().enumerate() {
+                    mask.set(t, p.is_ready(cycle, t));
+                }
+                std::hint::black_box(&mask);
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_mask_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("thread_mask");
     for threads in [8usize, 64, 65] {
@@ -93,6 +138,7 @@ criterion_group!(
     benches,
     bench_settle_loop,
     bench_fused_vs_interpreted,
+    bench_sink_ready_word,
     bench_mask_ops
 );
 criterion_main!(benches);

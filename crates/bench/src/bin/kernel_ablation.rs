@@ -15,10 +15,12 @@
 //! The campaign itself runs on the [`run_sweep_on`] worker pool. With
 //! `--parallel` the binary additionally proves the parallel path
 //! byte-identical to the serial one and records the wall-clock scaling
-//! curve of a replicated campaign in `BENCH_parallel_sweep.json`.
+//! curve of a replicated campaign in `BENCH_parallel_sweep.json`, or in
+//! the file named by `--out` (smoke runs write a scratch path so the
+//! committed curve is only rewritten on purpose).
 //!
 //! ```text
-//! cargo run --release --bin kernel_ablation [-- --parallel] [--workers N]
+//! cargo run --release --bin kernel_ablation [-- --parallel] [--workers N] [--out PATH]
 //! ```
 //!
 //! `--workers N` overrides the pool width (by default the host's
@@ -335,7 +337,7 @@ fn best_of(reps: usize, w: usize) -> (Duration, usize, Vec<RunResult>) {
     (best, used, results)
 }
 
-fn scaling_curve(width: usize) {
+fn scaling_curve(width: usize, out: &str) {
     let host = available_workers();
     // Scaling (speedup/efficiency) is only meaningful with ≥ 4 real
     // cores; below that the curve records pool *overhead* instead and
@@ -345,7 +347,7 @@ fn scaling_curve(width: usize) {
         eprintln!(
             "warning: available_parallelism() == {host} < 4 — recording pool \
              overhead, not parallel speedup \
-             (annotating BENCH_parallel_sweep.json with scaling_valid: false)"
+             (annotating {out} with scaling_valid: false)"
         );
     }
     // Always cross the 1→2→4 worker boundary (even on small hosts, so
@@ -539,8 +541,8 @@ fn scaling_curve(width: usize) {
         memoized,
         json_points.join(",\n")
     );
-    std::fs::write("BENCH_parallel_sweep.json", json).expect("write BENCH_parallel_sweep.json");
-    println!("\nwrote BENCH_parallel_sweep.json");
+    std::fs::write(out, json).expect("write the scaling curve");
+    println!("\nwrote {out}");
 }
 
 fn main() {
@@ -553,6 +555,12 @@ fn main() {
             .expect("--workers takes a positive integer")
     });
     let width = workers_override.unwrap_or_else(available_workers);
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .map_or("BENCH_parallel_sweep.json", |i| {
+            args.get(i + 1).expect("--out takes a path")
+        });
     let (meta, jobs) = campaign();
 
     // The table itself: run the campaign on the pool (all cores when
@@ -598,6 +606,6 @@ fn main() {
             "parallel ablation campaign diverged from the serial baseline"
         );
         println!("serial and parallel campaign digests are byte-identical.\n");
-        scaling_curve(width);
+        scaling_curve(width, out);
     }
 }

@@ -307,6 +307,24 @@ impl ThreadMask {
         }
     }
 
+    /// Overwrites word `idx` (threads `64·idx ..`) with `w`, clearing any
+    /// bit at or above [`threads`](ThreadMask::threads) so the tail stays
+    /// zero. Producers that build a whole handshake word locally commit it
+    /// with this instead of a per-thread [`set`](ThreadMask::set) loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a word of this mask.
+    #[inline]
+    pub(crate) fn set_word(&mut self, idx: usize, w: u64) {
+        assert!(
+            idx < self.word_count(),
+            "word {idx} out of range for {} threads",
+            self.threads
+        );
+        *self.word_mut(idx) = w & self.tail_mask(idx);
+    }
+
     /// Sets every thread's bit in one word-level pass (bits at or above
     /// [`threads`](ThreadMask::threads) stay zero); returns `true` iff
     /// any bit was clear.
@@ -597,6 +615,27 @@ mod tests {
         assert!(big.assign(&src), "spillover-word change detected");
         assert!(!big.assign(&src));
         assert_eq!(big.iter_ones().collect::<Vec<_>>(), vec![129]);
+    }
+
+    #[test]
+    fn set_word_keeps_the_tail_zero() {
+        for s in [0usize, 1, 63, 64, 65, 100, 128] {
+            let mut m = ThreadMask::new(s);
+            for idx in 0..s.div_ceil(64).max(1) {
+                m.set_word(idx, !0u64);
+            }
+            assert_eq!(m.count_ones(), s, "width {s}: tail bits leaked");
+            assert_eq!(
+                m.iter_ones().collect::<Vec<_>>(),
+                (0..s).collect::<Vec<_>>()
+            );
+            let mut full = ThreadMask::new(s);
+            full.fill();
+            assert_eq!(m, full, "width {s}: equal to fill()");
+        }
+        let mut m = ThreadMask::new(100);
+        m.set_word(1, 1 << 3);
+        assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![67]);
     }
 
     #[test]

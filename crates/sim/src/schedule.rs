@@ -48,6 +48,14 @@ pub enum ReadyPolicy {
     },
     /// Ready with probability `p` each cycle, deterministically derived
     /// from `seed` (same decision on every settle iteration of a cycle).
+    ///
+    /// Exactly: with `h = mix64(seed ^ cycle·0x5851_f42d_4c95_7f2d ^
+    /// thread << 48)` (the splitmix64 finalizer, wrapping arithmetic),
+    /// the thread is ready iff `(h as f64 / u64::MAX as f64) < p`. The
+    /// edges follow from that predicate: `p ≤ 0` and NaN are never
+    /// ready, `p > 1` is always ready, and `p == 1.0` is ready for every
+    /// `h` whose `f64` rounding stays below 2⁶⁴ (all but the top 2¹⁰
+    /// hashes).
     Random {
         /// Probability of being ready in a given cycle (0.0–1.0).
         p: f64,
@@ -75,6 +83,191 @@ impl ReadyPolicy {
                     mix64(seed ^ cycle.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ (thread as u64) << 48);
                 (h as f64 / u64::MAX as f64) < p
             }
+        }
+    }
+}
+
+/// The cycle multiplier of [`ReadyPolicy::Random`]'s hash, as spelled
+/// out in [`ReadyPolicy::is_ready`] (the spec the compiled rules are
+/// tested against).
+const RANDOM_CYCLE_MUL: u64 = 0x5851_f42d_4c95_7f2d;
+
+/// The exact integer threshold of [`ReadyPolicy::Random`]: the smallest
+/// hash `h` for which the spec predicate `h as f64 / u64::MAX as f64 < p`
+/// is false, so a thread is ready iff its hash is below it. `None` when
+/// the predicate holds for every hash (`p > 1`); `Some(0)` when it holds
+/// for none (`p ≤ 0`, NaN).
+///
+/// `h ↦ h as f64` is monotone and the division is by a positive
+/// constant, so the ready hashes are a prefix of `0..=u64::MAX` and a
+/// binary search on the predicate itself finds its end.
+fn random_below(p: f64) -> Option<u64> {
+    let ready = |h: u64| (h as f64 / u64::MAX as f64) < p;
+    if ready(u64::MAX) {
+        return None;
+    }
+    let (mut lo, mut hi) = (0u64, u64::MAX);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ready(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
+}
+
+/// One thread's [`ReadyPolicy::Random`] compiled to integers: ready iff
+/// `mix64(salt ^ cycle·K) < below`, with `salt = seed ^ thread << 48`.
+/// In every rule, `bit` is the thread's one-hot bit in its 64-thread
+/// word (`1 << thread % 64`).
+#[derive(Clone, Copy, Debug)]
+struct RandomBit {
+    salt: u64,
+    below: u64,
+    bit: u64,
+}
+
+/// One thread's [`ReadyPolicy::StallWindow`]: stalled iff
+/// `from <= cycle < to`.
+#[derive(Clone, Copy, Debug)]
+struct WindowBit {
+    from: u64,
+    to: u64,
+    bit: u64,
+}
+
+/// One thread's [`ReadyPolicy::Period`]: ready iff
+/// `(cycle + phase) % period < on`, with `0 < on < period`.
+#[derive(Clone, Copy, Debug)]
+struct PeriodBit {
+    on: u64,
+    period: u64,
+    phase: u64,
+    bit: u64,
+}
+
+/// The compiled ready policies of one 64-thread word of a [`Sink`]: the
+/// constant-ready bits plus one homogeneous list per cycle-dependent
+/// rule kind, so building the word is three branch-free loops with no
+/// per-thread dispatch and no floating point.
+#[derive(Clone, Debug, Default)]
+struct ReadyWord {
+    always: u64,
+    random: Vec<RandomBit>,
+    window: Vec<WindowBit>,
+    period: Vec<PeriodBit>,
+}
+
+impl ReadyWord {
+    /// Drops whatever rule the thread of `bit` had (it then reads
+    /// never-ready).
+    fn remove(&mut self, bit: u64) {
+        self.always &= !bit;
+        self.random.retain(|r| r.bit != bit);
+        self.window.retain(|r| r.bit != bit);
+        self.period.retain(|r| r.bit != bit);
+    }
+
+    /// The word at `cycle`. Each rule ORs in its one-hot `bit` under an
+    /// all-ones/all-zeros mask of its test, so no loop branches.
+    fn eval(&self, cycle: u64) -> u64 {
+        let mut w = self.always;
+        let mixed = cycle.wrapping_mul(RANDOM_CYCLE_MUL);
+        for r in &self.random {
+            w |= r.bit & u64::from(mix64(r.salt ^ mixed) < r.below).wrapping_neg();
+        }
+        for r in &self.window {
+            w |= r.bit & u64::from(cycle < r.from || cycle >= r.to).wrapping_neg();
+        }
+        for r in &self.period {
+            w |= r.bit & u64::from(cycle.wrapping_add(r.phase) % r.period < r.on).wrapping_neg();
+        }
+        w
+    }
+}
+
+/// A sink's per-thread policies compiled once (on construction and on
+/// every [`Sink::set_policy`]) into exact integer rules, one
+/// [`ReadyWord`] per 64 threads. [`ReadyPolicy::is_ready`] stays the
+/// spec; this is the form the fused kernel evaluates every cycle.
+#[derive(Clone, Debug)]
+struct ReadyRules {
+    words: Vec<ReadyWord>,
+    /// `(p.to_bits(), random_below(p))` for every distinct `p` seen, so
+    /// a sink configured thread by thread derives each threshold once.
+    below_memo: Vec<(u64, Option<u64>)>,
+}
+
+impl ReadyRules {
+    fn new(threads: usize) -> Self {
+        Self {
+            words: vec![ReadyWord::default(); threads.div_ceil(64)],
+            below_memo: Vec::new(),
+        }
+    }
+
+    fn below(&mut self, p: f64) -> Option<u64> {
+        let key = p.to_bits();
+        if let Some(&(_, below)) = self.below_memo.iter().find(|(k, _)| *k == key) {
+            return below;
+        }
+        let below = random_below(p);
+        self.below_memo.push((key, below));
+        below
+    }
+
+    /// Compiles `policy` for `thread`, replacing its previous rule.
+    /// Policies that do not depend on the cycle (including degenerate
+    /// windows, periods and probabilities) fold into the constant word.
+    fn set(&mut self, thread: usize, policy: &ReadyPolicy) {
+        let below = match *policy {
+            ReadyPolicy::Random { p, .. } => self.below(p),
+            _ => None,
+        };
+        let bit = 1u64 << (thread % 64);
+        let word = &mut self.words[thread / 64];
+        word.remove(bit);
+        match *policy {
+            ReadyPolicy::Always => word.always |= bit,
+            ReadyPolicy::Never => {}
+            ReadyPolicy::StallWindow { from, to } => {
+                if from < to {
+                    word.window.push(WindowBit { from, to, bit });
+                } else {
+                    word.always |= bit;
+                }
+            }
+            ReadyPolicy::Period { on, off, phase } => {
+                if off == 0 {
+                    word.always |= bit;
+                } else if on > 0 {
+                    word.period.push(PeriodBit {
+                        on,
+                        period: on + off,
+                        phase,
+                        bit,
+                    });
+                }
+            }
+            ReadyPolicy::Random { seed, .. } => match below {
+                None => word.always |= bit,
+                Some(0) => {}
+                Some(below) => word.random.push(RandomBit {
+                    salt: seed ^ (thread as u64) << 48,
+                    below,
+                    bit,
+                }),
+            },
+        }
+    }
+
+    /// Writes the ready word of every 64-thread block for `cycle` into
+    /// `mask`.
+    fn fill(&self, cycle: u64, mask: &mut ThreadMask) {
+        for (idx, word) in self.words.iter().enumerate() {
+            mask.set_word(idx, word.eval(cycle));
         }
     }
 }
@@ -365,6 +558,10 @@ pub struct Sink<T: Token> {
     captured: Vec<Vec<(u64, T)>>,
     counts: Vec<u64>,
     capture: bool,
+    /// `policies` compiled to integer rules, kept in step by
+    /// [`set_policy`](Sink::set_policy); [`eval_fused`](Sink::eval_fused)
+    /// builds the ready word from these.
+    rules: ReadyRules,
     /// Policy-word cache for [`eval_fused`](Sink::eval_fused): the ready
     /// mask computed for cycle `fused_stamp - 1` (`0` = invalid).
     fused_ready: ThreadMask,
@@ -379,6 +576,10 @@ impl<T: Token> Sink<T> {
         threads: usize,
         policy: ReadyPolicy,
     ) -> Self {
+        let mut rules = ReadyRules::new(threads);
+        for t in 0..threads {
+            rules.set(t, &policy);
+        }
         Self {
             name: name.into(),
             inp,
@@ -386,6 +587,7 @@ impl<T: Token> Sink<T> {
             captured: (0..threads).map(|_| Vec::new()).collect(),
             counts: vec![0; threads],
             capture: false,
+            rules,
             fused_ready: ThreadMask::new(threads),
             fused_stamp: 0,
         }
@@ -409,6 +611,7 @@ impl<T: Token> Sink<T> {
     ///
     /// Panics if `thread` is out of range.
     pub fn set_policy(&mut self, thread: usize, policy: ReadyPolicy) {
+        self.rules.set(thread, &policy);
         self.policies[thread] = policy;
         // A sweep harness reconfigures policies between runs on a reused
         // circuit; the cached policy word is stale the moment one changes.
@@ -431,18 +634,29 @@ impl<T: Token> Sink<T> {
         self.counts.iter().sum()
     }
 
+    /// Writes the ready word this sink drives at `cycle` into `out`, as
+    /// [`eval_fused`](Sink::eval_fused) builds it: from the compiled
+    /// integer rules, equal bit for bit to [`ReadyPolicy::is_ready`] of
+    /// every thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not as wide as the sink.
+    pub fn ready_word(&self, cycle: u64, out: &mut ThreadMask) {
+        assert_eq!(out.threads(), self.policies.len(), "mask width mismatch");
+        self.rules.fill(cycle, out);
+    }
+
     /// Fused-kernel evaluation: identical observable behaviour to
-    /// [`eval`](Component::eval), but the per-thread policy word is
-    /// computed once per *cycle* and cached across settle rounds —
-    /// [`ReadyPolicy::Random`] hashes every thread on every call, which
-    /// the interpreted path pays again each round — and committed with a
-    /// single word-level mask write instead of a per-thread setter loop.
+    /// [`eval`](Component::eval), but the ready word is built once per
+    /// *cycle* from the policies compiled to exact integer rules (no
+    /// floating point, no per-thread policy dispatch), one local `u64`
+    /// per 64 threads, and committed with a single word-level mask write
+    /// instead of a per-thread setter loop.
     pub fn eval_fused(&mut self, ctx: &mut EvalCtx<'_, T>) {
         let cycle = ctx.cycle();
         if self.fused_stamp != cycle + 1 {
-            for (t, policy) in self.policies.iter().enumerate() {
-                self.fused_ready.set(t, policy.is_ready(cycle, t));
-            }
+            self.rules.fill(cycle, &mut self.fused_ready);
             self.fused_stamp = cycle + 1;
             // Commit once per cycle: the sink is the only driver of
             // `ready(inp)` and the word depends on the cycle number
@@ -546,6 +760,189 @@ mod tests {
         // Roughly half ready over a long horizon.
         let ready = (0..10_000).filter(|&c| r.is_ready(c, 0)).count();
         assert!((3_000..7_000).contains(&ready), "ready={ready}");
+    }
+
+    /// The probabilities the compiled `Random` rule must get exactly
+    /// right: the never/always edges, the smallest subnormal, the
+    /// workload values and the neighbours of 1.0.
+    const EDGE_PS: [f64; 9] = [
+        0.0,
+        -1.0,
+        f64::NAN,
+        f64::from_bits(1),
+        0.02,
+        0.5,
+        1.0 - f64::EPSILON / 2.0,
+        1.0,
+        1.0 + f64::EPSILON,
+    ];
+
+    const WIDTHS: [usize; 5] = [1, 63, 64, 65, 100];
+
+    /// Inverse of `x ^= x >> s`.
+    fn unxorshift(y: u64, s: u32) -> u64 {
+        let mut x = y;
+        for _ in 0..64 / s + 1 {
+            x = y ^ (x >> s);
+        }
+        x
+    }
+
+    /// Multiplicative inverse of an odd `c` modulo 2⁶⁴ (Newton).
+    fn inverse(c: u64) -> u64 {
+        let mut inv = c;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(inv)));
+        }
+        inv
+    }
+
+    /// Inverse of [`mix64`], so a test can pick the hash a thread sees.
+    fn unmix64(h: u64) -> u64 {
+        let x = unxorshift(h, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+        let x = unxorshift(x, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+        unxorshift(x, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// The ready word the spec gives: one `is_ready` call per thread.
+    fn spec_word(policies: &[ReadyPolicy], cycle: u64) -> ThreadMask {
+        let bits: Vec<bool> = policies
+            .iter()
+            .enumerate()
+            .map(|(t, p)| p.is_ready(cycle, t))
+            .collect();
+        ThreadMask::from_bools(&bits)
+    }
+
+    fn compiled_word(sink: &Sink<u64>, cycle: u64) -> ThreadMask {
+        let mut mask = ThreadMask::new(sink.policies.len());
+        sink.ready_word(cycle, &mut mask);
+        mask
+    }
+
+    #[test]
+    fn unmix64_inverts_mix64() {
+        for x in [0, 1, 42, u64::MAX, 0x0123_4567_89ab_cdef] {
+            assert_eq!(mix64(unmix64(x)), x);
+        }
+    }
+
+    #[test]
+    fn random_below_is_the_spec_boundary() {
+        let spec = |h: u64, p: f64| (h as f64 / u64::MAX as f64) < p;
+        for p in EDGE_PS {
+            match random_below(p) {
+                None => assert!((0..64).all(|k| spec(u64::MAX >> k, p)), "p={p:e}"),
+                Some(below) => {
+                    assert!(!spec(below, p), "p={p:e}: hash {below} must stall");
+                    if below > 0 {
+                        assert!(
+                            spec(below - 1, p),
+                            "p={p:e}: hash {} must be ready",
+                            below - 1
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(random_below(0.0), Some(0));
+        assert_eq!(random_below(-1.0), Some(0));
+        assert_eq!(random_below(f64::NAN), Some(0));
+        assert_eq!(random_below(f64::from_bits(1)), Some(1));
+        assert_eq!(random_below(1.0), Some(u64::MAX - 1023));
+        assert_eq!(random_below(1.0 + f64::EPSILON), None);
+    }
+
+    /// The compiled ready word equals the per-thread spec bits for every
+    /// edge probability and width, on hashes aimed at the threshold:
+    /// each thread's seed is chosen (through [`unmix64`]) so its hash at
+    /// the probed cycle is `below − 1`, `below`, `below + 1`, 0,
+    /// `u64::MAX` or a random value. An off-by-one threshold fails here.
+    #[test]
+    fn compiled_random_word_matches_is_ready_at_the_threshold() {
+        for (case, p) in EDGE_PS.into_iter().enumerate() {
+            let below = random_below(p).unwrap_or(u64::MAX);
+            for threads in WIDTHS {
+                for probe in 0..8u64 {
+                    let r = mix64(case as u64 ^ (threads as u64) << 8 ^ probe << 16);
+                    let cycle = if probe == 0 { 0 } else { r >> 20 };
+                    let mut sink =
+                        Sink::<u64>::new("snk", ChannelId(0), threads, ReadyPolicy::Always);
+                    for t in 0..threads {
+                        let target = match t % 6 {
+                            0 => below.wrapping_sub(1),
+                            1 => below,
+                            2 => below.wrapping_add(1),
+                            3 => 0,
+                            4 => u64::MAX,
+                            _ => mix64(r ^ t as u64),
+                        };
+                        let seed = unmix64(target)
+                            ^ cycle.wrapping_mul(RANDOM_CYCLE_MUL)
+                            ^ (t as u64) << 48;
+                        sink.set_policy(t, ReadyPolicy::Random { p, seed });
+                    }
+                    // The probed cycle, and its neighbours on plain hashes.
+                    for c in [cycle, cycle.wrapping_add(1), cycle.wrapping_add(977)] {
+                        assert_eq!(
+                            compiled_word(&sink, c),
+                            spec_word(&sink.policies, c),
+                            "p={p:e} threads={threads} cycle={c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mixed policies of every kind, including degenerate windows and
+    /// periods, reconfigured thread by thread between probes: the
+    /// compiled word tracks the spec after every `set_policy`.
+    #[test]
+    fn compiled_mixed_policies_track_set_policy() {
+        let policy = |k: u64| match k % 9 {
+            0 => ReadyPolicy::Always,
+            1 => ReadyPolicy::Never,
+            2 => ReadyPolicy::StallWindow {
+                from: k % 7,
+                to: 3 + k % 11,
+            },
+            3 => ReadyPolicy::StallWindow { from: 9, to: 9 },
+            4 => ReadyPolicy::Period {
+                on: k % 4,
+                off: k % 3,
+                phase: k % 5,
+            },
+            5 => ReadyPolicy::Period {
+                on: 0,
+                off: 0,
+                phase: 1,
+            },
+            _ => ReadyPolicy::Random {
+                p: EDGE_PS[(k >> 4) as usize % EDGE_PS.len()],
+                seed: mix64(k),
+            },
+        };
+        for threads in WIDTHS {
+            let mut sink = Sink::<u64>::new(
+                "snk",
+                ChannelId(0),
+                threads,
+                ReadyPolicy::Random { p: 0.5, seed: 3 },
+            );
+            for round in 0..40u64 {
+                let k = mix64(round ^ (threads as u64) << 32);
+                let t = (k % threads as u64) as usize;
+                sink.set_policy(t, policy(k >> 8));
+                for cycle in (round * 5)..(round * 5 + 5) {
+                    assert_eq!(
+                        compiled_word(&sink, cycle),
+                        spec_word(&sink.policies, cycle),
+                        "threads={threads} round={round} cycle={cycle}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! fused path is checked against (observable behaviour is identical, see
 //! `docs/kernel.md`):
 //!
-//! * [`Sink::eval_fused`] caches the per-thread ready-policy word once
-//!   per cycle and commits it with a single masked write;
+//! * [`Sink::eval_fused`] builds its ready word once per cycle from the
+//!   policies compiled to exact integer rules at configuration time (no
+//!   floating point or per-thread policy dispatch per cycle), one local
+//!   `u64` per 64 threads, and commits it with a single masked write;
 //! * [`ReducedMeb::eval_fused`] rebuilds its upstream ready word once
 //!   per cycle (it is a function of registered state only) and commits
 //!   it in one word-level call;
@@ -55,8 +57,8 @@ use elastic_sim::{
 pub enum FusedOp<T: Token> {
     /// Token source ([`elastic_sim::Source`]).
     Source(Source<T>),
-    /// Token sink ([`elastic_sim::Sink`]), evaluated via its word-level
-    /// ready-policy cache.
+    /// Token sink ([`elastic_sim::Sink`]), evaluated via its compiled
+    /// word-level ready policies.
     Sink(Sink<T>),
     /// Single-thread elastic buffer.
     Eb(ElasticBuffer<T>),

@@ -22,8 +22,8 @@
 mod common;
 
 use common::{meb_kind_strategy, run_net, shape_strategy, try_run_net, NetParams, Shape};
-use mt_elastic::core::MebKind;
-use mt_elastic::sim::{EvalMode, KernelBackend, SimError};
+use mt_elastic::core::{MebKind, PipelineConfig, PipelineHarness};
+use mt_elastic::sim::{EvalMode, KernelBackend, ReadyPolicy, SimError, Sink, Tagged};
 use proptest::prelude::*;
 
 proptest! {
@@ -164,4 +164,75 @@ fn s65_ring(masked: bool) -> NetParams {
         p_ready: 0.55,
         seed: 0x65,
     }
+}
+
+/// Mixed sink policies on an S = 65 pipeline, reconfigured mid-run with
+/// `Sink::set_policy`: the fused sink builds its ready word from the
+/// policies compiled to integer rules, the interpreted sink calls
+/// `ReadyPolicy::is_ready` per thread, and the captures (cycle and
+/// payload of every token) and evaluation counts must agree.
+#[test]
+fn fused_sink_tracks_mid_run_set_policy_at_the_word_boundary() {
+    let policy = |t: usize, phase: u64| match (t as u64 + phase) % 7 {
+        0 => ReadyPolicy::Always,
+        1 => ReadyPolicy::StallWindow {
+            from: 3 + phase,
+            to: 40 + 3 * phase,
+        },
+        2 => ReadyPolicy::Period {
+            on: 1 + t as u64 % 3,
+            off: 2,
+            phase,
+        },
+        3 => ReadyPolicy::Random {
+            p: 0.02,
+            seed: t as u64,
+        },
+        4 => ReadyPolicy::Random {
+            p: 1.0,
+            seed: phase,
+        },
+        5 => ReadyPolicy::Never,
+        _ => ReadyPolicy::Random {
+            p: 0.5,
+            seed: 0x5eed ^ phase,
+        },
+    };
+    let run = |backend: KernelBackend| {
+        let mut cfg = PipelineConfig::free_flowing(65, 3, MebKind::Reduced, 6)
+            .with_backend(backend, Some(mt_elastic::synth::fuse));
+        for t in 0..65 {
+            cfg = cfg.with_sink_policy(t, policy(t, 0));
+        }
+        let mut h = PipelineHarness::build(cfg);
+        for phase in 1..4 {
+            h.circuit.run(60).expect("pipeline runs clean");
+            let sink: &mut Sink<Tagged> = h.circuit.get_mut("snk").expect("sink");
+            for t in (0..65).filter(|t| t % 2 == phase as usize % 2) {
+                sink.set_policy(t, policy(t, phase));
+            }
+        }
+        // Finally release every thread so the run drains.
+        h.circuit.run(60).expect("pipeline runs clean");
+        let sink: &mut Sink<Tagged> = h.circuit.get_mut("snk").expect("sink");
+        for t in 0..65 {
+            sink.set_policy(t, ReadyPolicy::Always);
+        }
+        h.circuit.run(200).expect("pipeline drains clean");
+        let captures: Vec<Vec<(u64, Tagged)>> =
+            (0..65).map(|t| h.sink().captured(t).to_vec()).collect();
+        (captures, h.circuit.stats().kernel().component_evals)
+    };
+    let interp = run(KernelBackend::Interpreted);
+    let fused = run(KernelBackend::Fused);
+    assert_eq!(
+        interp.0.iter().map(Vec::len).sum::<usize>(),
+        65 * 6,
+        "every token drains"
+    );
+    assert_eq!(
+        interp.0, fused.0,
+        "fused sink diverged from is_ready after set_policy"
+    );
+    assert_eq!(interp.1, fused.1, "fused sink changed the evaluation count");
 }
